@@ -86,10 +86,40 @@ SJ_FIG14 = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0,
                       sj_amplitude_ui_pp=0.10, sj_frequency_hz=250.0e6)
 
 
+#: Timed repeats of each statistical-eye leg (median, min and IQR are
+#: recorded; the speedup uses the median).
+REPEATS = 5
+
+
 def _timed(function):
     start = time.perf_counter()
     value = function()
     return value, time.perf_counter() - start
+
+
+def _repeated(function, repeats: int = REPEATS):
+    """Time *repeats* calls of *function*: its last value and the spread."""
+    samples = []
+    for _ in range(repeats):
+        value, seconds = _timed(function)
+        samples.append(seconds)
+    q1, median, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
+    return value, {
+        "median": float(median),
+        "min": min(samples),
+        "iqr": float(q3 - q1),
+        "repeats": repeats,
+    }
+
+
+def _spread_fields(prefix: str, spread: dict) -> dict:
+    """``<prefix>`` (the median), ``<prefix>_min``/``_iqr`` and the repeat count."""
+    return {
+        prefix: round(spread["median"], 4),
+        f"{prefix}_min": round(spread["min"], 4),
+        f"{prefix}_iqr": round(spread["iqr"], 4),
+        f"{prefix}_repeats": spread["repeats"],
+    }
 
 
 def _traced(name, bench, **kwargs):
@@ -248,7 +278,7 @@ def bench_stateye_vs_bittrue(n_bits: int) -> dict:
                 eye.vertical_opening(target_ber))
 
     measurement, bittrue_s = _timed(bittrue)
-    (stateye_ber, horizontal_ui, vertical), stateye_s = _timed(solve)
+    (stateye_ber, horizontal_ui, vertical), stateye = _repeated(solve)
     measured_ber = measurement.errors / measurement.compared_bits
     throughput = n_bits / bittrue_s
     extrapolated_s = extrapolation_bits / throughput
@@ -259,8 +289,8 @@ def bench_stateye_vs_bittrue(n_bits: int) -> dict:
         "extrapolation_target_ber": target_ber,
         "extrapolation_bits": extrapolation_bits,
         "bittrue_extrapolated_s": round(extrapolated_s),
-        "stateye_s": round(stateye_s, 4),
-        "speedup": round(extrapolated_s / stateye_s),
+        **_spread_fields("stateye_s", stateye),
+        "speedup": round(extrapolated_s / stateye["median"]),
         "measured_ber": measured_ber,
         "stateye_ber": stateye_ber,
         "agreement_ratio": round(stateye_ber / measured_ber, 3),
@@ -285,11 +315,12 @@ def bench_link_training(n_bits: int) -> dict:
     target_ber = 1.0e-12
     bits_per_candidate = 10.0 / target_ber
     link = LinkConfig(channel=LossyLineChannel.for_loss_at_nyquist(14.0))
-    trainer = LinkTrainer(link)
-    grid_points = len(trainer.training.tx_post_db) \
-        * len(trainer.training.ctle_peaking_db)
+    training = LinkTrainer(link).training
+    grid_points = len(training.tx_post_db) * len(training.ctle_peaking_db)
 
-    trained, training_s = _timed(trainer.train)
+    # A fresh trainer per repeat: a shared one would answer every repeat
+    # from its objective cache.
+    trained, training_spread = _repeated(lambda: LinkTrainer(link).train())
 
     def bittrue_candidate():
         channel = LinkCdrChannel(trained.apply(link), backend="fast")
@@ -303,14 +334,14 @@ def bench_link_training(n_bits: int) -> dict:
     return {
         "grid_points": grid_points,
         "n_bits_timed": n_bits,
-        "training_s": round(training_s, 4),
+        **_spread_fields("training_s", training_spread),
         "training_evaluations": trained.n_evaluations,
         "bittrue_candidate_s": round(candidate_s, 4),
         "bittrue_throughput_bits_per_s": round(throughput),
         "naive_target_ber": target_ber,
         "naive_bits_per_candidate": bits_per_candidate,
         "naive_extrapolated_s": round(naive_extrapolated_s),
-        "speedup": round(naive_extrapolated_s / training_s),
+        "speedup": round(naive_extrapolated_s / training_spread["median"]),
         "trained_tx_post_db": trained.tx_post_db,
         "trained_ctle_peaking_db": trained.ctle_peaking_db,
         "trained_vertical_opening": round(trained.eye.vertical, 4),
@@ -446,13 +477,16 @@ def main() -> int:
     stateye = _traced("stateye_vs_bittrue", bench_stateye_vs_bittrue,
                       n_bits=10000 * scale)
     print(f"  bit-true to 1e-12 ~{stateye['bittrue_extrapolated_s']}s  "
-          f"stateye {stateye['stateye_s']}s  speedup {stateye['speedup']}x  "
+          f"stateye {stateye['stateye_s']}s (median of "
+          f"{stateye['stateye_s_repeats']}, IQR {stateye['stateye_s_iqr']}s)  "
+          f"speedup {stateye['speedup']}x  "
           f"(BER agreement ratio {stateye['agreement_ratio']})")
     print("timing link training vs naive bit-true grid search...")
     training = _traced("link_training", bench_link_training,
                        n_bits=10000 * scale)
     print(f"  naive bit-true grid ~{training['naive_extrapolated_s']}s  "
-          f"training {training['training_s']}s "
+          f"training {training['training_s']}s (median of "
+          f"{training['training_s_repeats']}, IQR {training['training_s_iqr']}s) "
           f"({training['training_evaluations']} evaluations)  "
           f"speedup {training['speedup']}x")
     print("timing bit-true link sweep (reference tier vs dispatched kernels)...")

@@ -50,6 +50,7 @@ from .path import LinkCdrChannel, LinkConfig, LinkPath, stream_eye_diagram
 from .stateye import (
     AGGRESSOR_PHASE_MODES,
     StatisticalEye,
+    StatisticalEyeError,
     StatisticalEyeSolver,
     statistical_eye,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "stream_eye_diagram",
     "AGGRESSOR_PHASE_MODES",
     "StatisticalEye",
+    "StatisticalEyeError",
     "StatisticalEyeSolver",
     "statistical_eye",
     "EyeScore",

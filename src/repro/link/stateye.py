@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import require_positive, require_positive_int, require_probability
 from ..datapath.cid import RunLengthDistribution
@@ -47,6 +48,7 @@ from .path import LinkConfig, LinkPath
 __all__ = [
     "AGGRESSOR_PHASE_MODES",
     "StatisticalEye",
+    "StatisticalEyeError",
     "StatisticalEyeSolver",
     "statistical_eye",
 ]
@@ -66,41 +68,95 @@ DEFAULT_SPAN_UI = 64
 #: residue, not ISI — snapped to zero like the edge extractor's ``snap_ui``.
 _CURSOR_SNAP = 1.0e-9
 
-
-def _shifted(pmf: np.ndarray, bins: int) -> np.ndarray:
-    """*pmf* translated by *bins* grid cells (mass beyond the edge drops)."""
-    if bins == 0:
-        return pmf
-    result = np.zeros_like(pmf)
-    if bins > 0:
-        result[bins:] = pmf[:-bins]
-    else:
-        result[:bins] = pmf[-bins:]
-    return result
+#: Largest departure from unit probability mass a solved noise PMF may
+#: show; the grid is padded so that no cursor can push mass off it.
+_MASS_TOLERANCE = 1.0e-9
 
 
-def _two_point_convolve(pmf: np.ndarray, shift_bins: float) -> np.ndarray:
-    """Convolve *pmf* with ``0.5·δ(+c) + 0.5·δ(−c)`` for ``c = shift_bins``.
+class StatisticalEyeError(ValueError):
+    """The statistical eye cannot be solved from these inputs.
 
-    *shift_bins* is a (non-negative) real number of grid cells.  An
-    off-grid impulse is split across the two adjacent bins with the weight
-    chosen to preserve its **second moment** exactly (the pair is
+    Raised when a cursor matrix holds a non-finite sample (for example the
+    pulse response left behind by a diverging DFE) or when a solved noise
+    PMF does not keep unit probability mass.
+    """
+
+
+def _convolve_cursor_pairs(pmfs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Convolve every row of *pmfs* with its cursors' two-point distributions.
+
+    *pmfs* is a ``(rows, bins)`` array of probability mass on the voltage
+    grid.  *shifts* is a ``(cursors, rows)`` array of non-negative cursor
+    magnitudes in grid cells; step ``k`` convolves row ``r`` with
+    ``0.5·δ(+c) + 0.5·δ(−c)`` for ``c = shifts[k, r]``, and mass pushed
+    beyond either grid edge drops.
+
+    An off-grid impulse is split across the two adjacent bins with the
+    weight chosen to preserve its **second moment** exactly (the pair is
     symmetric, so the mean is zero by construction): with ``c`` between
     bins ``m`` and ``m+1``, weight ``w = (c² − m²) / (2m + 1)`` gives
     ``(1−w)·m² + w·(m+1)² = c²``.  Cursors far below the grid step thus
     contribute their exact mean-square spread instead of being rounded
     away, and the total ISI variance is exact on any grid.
+
+    All rows advance together, one vectorised step per cursor: the PMFs
+    live in the interior of two zero-padded buffers used in turn, and both
+    shifted copies of each row are row-gathers from a sliding-window view
+    of the current buffer.  Each element sees the same arithmetic in the
+    same order as a row-by-row convolution (a zero-weight term, which that
+    would skip, adds exactly 0.0 to non-negative mass), so the result does
+    not depend on how many rows are batched; a row whose shift is exactly
+    0 passes through unchanged.
     """
-    if shift_bins == 0.0:
-        return pmf
-    whole = int(np.floor(shift_bins))
-    weight = (shift_bins * shift_bins - whole * whole) / (2.0 * whole + 1.0)
-    result = np.zeros_like(pmf)
-    for bins, mass in ((whole, 1.0 - weight), (whole + 1, weight)):
-        if mass <= 0.0:
+    rows, bins = pmfs.shape
+    whole = np.floor(shifts)
+    weight = (shifts * shifts - whole * whole) / (2.0 * whole + 1.0)
+    near_mass = (0.5 * (1.0 - weight))[:, :, None]
+    far_mass = (0.5 * weight)[:, :, None]
+    # A shift of a whole grid or more moves every cell off it, exactly as
+    # a shift of ``bins`` does, so clip the window offsets there.
+    near = np.minimum(whole, bins).astype(np.intp)
+    far = np.minimum(whole + 1.0, bins).astype(np.intp)
+    pad = int(far.max(initial=0))
+    starts = np.stack((pad - near, pad + near, pad - far, pad + far), axis=1)
+    still = shifts == 0.0
+    any_moving = (~still).any(axis=1).tolist()
+    any_still = still.any(axis=1).tolist()
+
+    buffers = np.zeros((2, rows, bins + 2 * pad))
+    interiors = buffers[:, :, pad : pad + bins]
+    windows = [sliding_window_view(buffer, bins, axis=1) for buffer in buffers]
+    interiors[0] = pmfs
+    index = np.arange(rows)
+    current = 0
+    for step in range(shifts.shape[0]):
+        if not any_moving[step]:
             continue
-        result += (0.5 * mass) * (_shifted(pmf, bins) + _shifted(pmf, -bins))
-    return result
+        source = windows[current]
+        result = interiors[1 - current]
+        up, down, far_up, far_down = starts[step]
+        np.multiply(near_mass[step], source[index, up] + source[index, down], out=result)
+        result += far_mass[step] * (source[index, far_up] + source[index, far_down])
+        if any_still[step]:
+            np.copyto(result, interiors[current], where=still[step][:, None])
+        current = 1 - current
+    return interiors[current].copy()
+
+
+def _cursor_pmfs(rows: np.ndarray, step: float, n_bins: int, centre: int) -> np.ndarray:
+    """``(columns, n_bins)`` ISI PMFs of a ``(cursors, columns)`` cursor matrix.
+
+    Column ``i`` starts as a unit impulse at *centre* and is convolved with
+    the two-point distribution of every cursor ``rows[k, i]`` in row order.
+    """
+    shifts = np.abs(rows)
+    # Snap numerically-zero cursors (FFT residue on clean channels, same
+    # idiom as the edge extractor's snap_ui) so an ideal channel solves to
+    # an exactly error-free amplitude eye.
+    shifts[shifts < _CURSOR_SNAP] = 0.0
+    impulses = np.zeros((rows.shape[1], n_bins))
+    impulses[:, centre] = 1.0
+    return _convolve_cursor_pairs(impulses, shifts / step)
 
 
 @dataclass(frozen=True)
@@ -339,10 +395,19 @@ class StatisticalEyeSolver:
     # -- solution --------------------------------------------------------------
 
     def solve(self) -> StatisticalEye:
-        """Compute the full BER(phase, threshold) statistical eye."""
+        """Compute the full BER(phase, threshold) statistical eye.
+
+        Raises :class:`StatisticalEyeError` when a cursor matrix is not
+        finite or a solved noise PMF does not hold unit probability mass.
+        """
         spu = self.path.config.timebase.samples_per_ui
         cursors = self.cursor_matrix()
         aggressors = self.aggressor_cursor_matrices()
+        if not all(np.all(np.isfinite(matrix)) for matrix in [cursors, *aggressors]):
+            raise StatisticalEyeError(
+                "cursor matrix holds non-finite samples (a diverging DFE "
+                "adaptation leaves NaN taps behind, for example)"
+            )
 
         main_row = int(np.argmax(np.max(np.abs(cursors), axis=1)))
         main_cursor = cursors[main_row].copy()
@@ -391,25 +456,24 @@ class StatisticalEyeSolver:
                     else np.convolve(aggressor_kernel, pmf, mode="same")
                 )
 
-        noise_pmf = np.zeros((spu, n_bins))
+        cursor_rows = [isi_rows]
+        if self.aggressor_phase == "synchronous":
+            cursor_rows += live_aggressors
+        noise_pmf = _cursor_pmfs(np.vstack(cursor_rows), step, n_bins, centre)
         for phase_index in range(spu):
-            pmf = np.zeros(n_bins)
-            pmf[centre] = 1.0
-            cursors_here = np.abs(isi_rows[:, phase_index])
-            if self.aggressor_phase == "synchronous":
-                for rows in live_aggressors:
-                    cursors_here = np.concatenate((cursors_here, np.abs(rows[:, phase_index])))
-            # Snap numerically-zero cursors (FFT residue on clean channels,
-            # same idiom as the edge extractor's snap_ui) so an ideal
-            # channel solves to an exactly error-free amplitude eye.
-            cursors_here[cursors_here < _CURSOR_SNAP] = 0.0
-            for shift in cursors_here / step:
-                pmf = _two_point_convolve(pmf, float(shift))
+            pmf = noise_pmf[phase_index]
             if aggressor_kernel is not None:
                 pmf = np.convolve(pmf, aggressor_kernel, mode="same")
             if gaussian is not None:
                 pmf = np.convolve(pmf, gaussian, mode="same")
             noise_pmf[phase_index] = pmf
+        mass = noise_pmf.sum(axis=1)
+        if not np.all(np.abs(mass - 1.0) <= _MASS_TOLERANCE):
+            worst = int(np.argmax(np.abs(mass - 1.0)))
+            raise StatisticalEyeError(
+                f"noise PMF at phase index {worst} holds probability mass "
+                f"{mass[worst]!r}, not 1 within {_MASS_TOLERANCE}"
+            )
 
         # Amplitude error probability: a transmitted one samples below the
         # threshold, a transmitted zero above it (equiprobable bits).
@@ -462,17 +526,13 @@ class StatisticalEyeSolver:
         the PDF level (a mixture over offsets) is exact, not an
         approximation.
         """
-        columns = rows.shape[1]
+        pmfs = _cursor_pmfs(rows, step, n_bins, centre)
+        # Sum in column order, as a column-by-column loop does: the
+        # reduction order of ``pmfs.sum(axis=0)`` is numpy's to choose.
         average = np.zeros(n_bins)
-        for column in range(columns):
-            pmf = np.zeros(n_bins)
-            pmf[centre] = 1.0
-            cursors = np.abs(rows[:, column])
-            cursors[cursors < _CURSOR_SNAP] = 0.0
-            for shift in cursors / step:
-                pmf = _two_point_convolve(pmf, float(shift))
+        for pmf in pmfs:
             average += pmf
-        return average / columns
+        return average / pmfs.shape[0]
 
 
 def statistical_eye(link: LinkConfig | LinkPath | None = None, **parameters) -> StatisticalEye:
