@@ -22,6 +22,14 @@ upward.  :func:`content_key` canonicalizes arbitrarily nested dataclass /
 array structures into a stable SHA-256 digest — the identity of a
 checkpoint or cache entry.
 
+:func:`read_jsonl` is the one reader of append-only JSONL files (sweep
+journals, telemetry traces, the bench-history ledger): a crash can tear
+at most the trailing line, so parsing stops at the first line that does
+not decode and everything durably written before it still counts.  The
+sweep journal — a checkpoint plus its ``.audit`` and ``.progress``
+sidecars — is described once by :data:`JOURNAL_FILES`, built by
+:func:`journal_header` and validated by :func:`read_journal`.
+
 The numpy import is guarded: stdlib-only consumers — the CI lint job's
 ``python -m repro.telemetry.watch`` sidecar viewer — only ever feed plain
 Python values through the codec, and every numpy-specific branch below is
@@ -36,6 +44,8 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
+from typing import NamedTuple
 
 try:
     import numpy as np
@@ -60,6 +70,13 @@ __all__ = [
     "decode_json_value",
     "canonical_payload",
     "content_key",
+    "Jsonl",
+    "read_jsonl",
+    "JOURNAL_FILES",
+    "CheckpointMismatchError",
+    "journal_path",
+    "journal_header",
+    "read_journal",
 ]
 
 #: Sentinel string -> non-finite float value (the decoding table).
@@ -226,3 +243,117 @@ def content_key(value) -> str:
         canonical_payload(value), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# --- append-only JSONL files --------------------------------------------------
+
+
+class Jsonl(NamedTuple):
+    """What :func:`read_jsonl` recovered from one append-only JSONL file.
+
+    ``records`` are the complete JSON-object lines in file order;
+    ``torn`` is the line parsing stopped at (``None`` for an intact
+    file); ``end`` is the byte offset just past the last complete record
+    — the length to truncate the file to before appending again.
+    """
+
+    records: list
+    torn: str | None
+    end: int
+
+
+def read_jsonl(path: str | Path) -> Jsonl:
+    """All complete records of an append-only JSONL file.
+
+    Parsing stops at the first line that does not decode — the signature
+    of a crash or an in-flight append.  Blank lines and lines holding a
+    JSON value other than an object are skipped.
+    """
+    records: list = []
+    offset = end = 0
+    for line in Path(path).read_bytes().splitlines(keepends=True):
+        offset += len(line)
+        if not line.strip():
+            continue
+        try:
+            record = loads_strict(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return Jsonl(records, line.decode("utf-8", errors="replace").rstrip("\r\n"), end)
+        if isinstance(record, dict):
+            records.append(record)
+            end = offset
+    return Jsonl(records, None, end)
+
+
+# --- the sweep journal --------------------------------------------------------
+
+#: Version stamped into every sweep-journal header.
+_JOURNAL_VERSION = 1
+
+#: The files of one checkpointed sweep: name -> (suffix appended to the
+#: checkpoint path, header ``kind``, what error messages call the file).
+JOURNAL_FILES = {
+    "checkpoint": ("", "repro-sweep-checkpoint", "sweep checkpoint"),
+    "audit": (".audit", "repro-sweep-audit", "sweep audit sidecar"),
+    "progress": (".progress", "repro-sweep-progress", "sweep progress sidecar"),
+}
+
+#: Header fields that identify the study a journal belongs to.
+_IDENTITY_FIELDS = ("version", "key", "n_tasks", "seed")
+
+
+class CheckpointMismatchError(ValueError):
+    """A journal file on disk is not the expected kind or belongs to a different study."""
+
+
+def journal_path(checkpoint: str | Path, name: str) -> Path:
+    """Where journal file *name* of the sweep checkpointed at *checkpoint* lives."""
+    checkpoint = Path(checkpoint)
+    return checkpoint.with_name(checkpoint.name + JOURNAL_FILES[name][0])
+
+
+def journal_header(
+    name: str, key: str, n_tasks: int, seed: int | None, manifest: dict | None = None
+) -> dict:
+    """The first record of journal file *name*; *manifest* is provenance, not identity."""
+    header = {
+        "kind": JOURNAL_FILES[name][1],
+        "version": _JOURNAL_VERSION,
+        "key": key,
+        "n_tasks": n_tasks,
+        "seed": seed,
+    }
+    if manifest is not None:
+        header["manifest"] = manifest
+    return header
+
+
+def read_journal(path: str | Path, name: str, expected: dict | None = None) -> Jsonl:
+    """:func:`read_jsonl` of journal file *name*, header first and validated.
+
+    A missing or empty file reads as no records.  Otherwise the first
+    record must be a *name* header, and when *expected* (a
+    :func:`journal_header`) is given, its identity fields — version, key,
+    task count, seed — must match; :class:`CheckpointMismatchError` is
+    raised instead of silently mixing studies.  The manifest is never
+    compared, so a journal written on one machine resumes on another.
+    """
+    if not Path(path).exists():
+        return Jsonl([], None, 0)
+    journal = read_jsonl(path)
+    if not journal.records and journal.torn is None:
+        return journal
+    _, kind, label = JOURNAL_FILES[name]
+    header = journal.records[0] if journal.records else None
+    found = header.get("kind") if header is not None else None
+    if found != kind:
+        raise CheckpointMismatchError(
+            f"{path} is not a {label} (header kind {found!r}, not a {kind} header)"
+        )
+    for field in _IDENTITY_FIELDS if expected is not None else ():
+        if header.get(field) != expected[field]:
+            raise CheckpointMismatchError(
+                f"{label} {path} belongs to a different study: "
+                f"{field} is {header.get(field)!r}, expected {expected[field]!r}"
+            )
+    return journal

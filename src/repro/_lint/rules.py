@@ -1,4 +1,4 @@
-"""The eight repro-lint rules (RPL001–RPL008).
+"""The nine repro-lint rules (RPL001–RPL009).
 
 Each rule encodes one repo-wide invariant that a past PR was bitten by or
 explicitly contracts (see ARCHITECTURE.md for the table).  Rules scope
@@ -559,3 +559,67 @@ class EnvironmentReadRule(Rule):
                     )
                 )
         return findings
+
+
+# --- RPL009 ------------------------------------------------------------------
+
+_LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _repeated_parts(loop: ast.AST) -> list[ast.AST]:
+    """The sub-trees of *loop* that run once per iteration.
+
+    A ``for`` iterable and a comprehension's first iterable are evaluated
+    once, so parsing one whole document there is not a per-line loop.
+    """
+    if isinstance(loop, (ast.For, ast.AsyncFor)):
+        return loop.body + loop.orelse
+    if isinstance(loop, ast.While):
+        return [loop.test] + loop.body + loop.orelse
+    first, *rest = loop.generators
+    parts = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+    return parts + [first.target] + first.ifs + rest
+
+
+@register
+class JsonlReaderRule(Rule):
+    code = "RPL009"
+    name = "jsonl-reader"
+    summary = (
+        "JSONL is parsed only by repro._jsonio.read_jsonl — a hand-rolled "
+        "line loop over loads_strict/json.loads re-invents (or forgets) the "
+        "torn-tail rule every journal, trace and ledger reader must share"
+    )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        if not ctx.in_src or ctx.relpath == "src/repro/_jsonio.py":
+            return []
+        aliases = import_aliases(ctx.tree)
+        flagged: dict[int, ast.Call] = {}
+        for loop in ast.walk(ctx.tree):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for part in _repeated_parts(loop):
+                for node in ast.walk(part):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = resolve_call_name(node.func, aliases) or ""
+                    if name == "json.loads" or name.endswith("_jsonio.loads_strict"):
+                        flagged[id(node)] = node
+        return [
+            self.finding(
+                ctx,
+                node,
+                "JSON parsed inside a loop outside repro._jsonio — read JSONL "
+                "with repro._jsonio.read_jsonl (or read_journal for sweep journals)",
+            )
+            for node in sorted(flagged.values(), key=lambda call: (call.lineno, call.col_offset))
+        ]

@@ -9,9 +9,9 @@ One engine replaces the per-sweep pipelines: a study is a base
   one extra axis that still passes an error-count criterion (the
   jitter-tolerance shape),
 
-both on the deterministic :func:`repro.sweep.runner.map_tasks` pool —
-per-point random streams come from a spawned SeedSequence tree, so any
-worker count produces identical results.  The backend of every resolved
+both on the deterministic :func:`repro.sweep.resilient.map_tasks_resilient`
+pool — per-point random streams come from a spawned SeedSequence tree,
+so any worker count produces identical results.  The backend of every resolved
 point goes through :func:`repro.fastpath.backends.resolve_backend`, so
 ``backend="auto"`` picks the fastest exactly-equivalent engine per point
 and a forced backend fails loudly when the configuration demands a

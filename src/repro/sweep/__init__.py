@@ -1,14 +1,14 @@
 """Parallel, deterministically seeded time-domain sweeps over CDR channels.
 
-* :mod:`repro.sweep.runner` — a process-pool task runner whose per-task
-  random streams come from ``np.random.SeedSequence.spawn``, so results are
-  identical for any worker count (including serial execution).
-* :mod:`repro.sweep.resilient` — the fault-tolerant streaming layer on the
-  same seeding contract: per-task failure isolation with structured
-  :class:`TaskFailure` records, deterministic bounded retry, chunked
-  execution with JSONL checkpoint/resume (bit-identical merged results),
-  pool-breakage/timeout degradation and a per-task audit trail.  It is the
-  execution substrate of the :mod:`repro.experiments` engine.
+* :mod:`repro.sweep.resilient` — the one task runner,
+  :func:`map_tasks_resilient`.  Per-task random streams come from
+  ``np.random.SeedSequence.spawn``, so results are identical for any
+  worker count (including serial execution).  On that seeding contract it
+  adds per-task failure isolation with structured :class:`TaskFailure`
+  records, deterministic bounded retry, chunked execution with JSONL
+  checkpoint/resume (bit-identical merged results), pool-breakage/timeout
+  degradation and a per-task audit trail.  It is the execution substrate
+  of the :mod:`repro.experiments` engine.
 * :mod:`repro.sweep.faults` — deterministic fault-injection worker wrappers
   (fail-every-Nth, fail-once-then-succeed, hang/crash-in-pool) plus an
   ``"inject_fault"`` scenario axis, for resilience tests and downstream
@@ -26,12 +26,10 @@ New studies should target :mod:`repro.experiments` directly; these
 wrappers exist for the paper's named figures and for API stability.
 """
 
-from .runner import SweepRunner, map_tasks
 from .resilient import (
     FAILURE_POLICIES,
     CheckpointMismatchError,
     ResilientMap,
-    ResilientRunner,
     SweepTaskError,
     TaskAudit,
     TaskFailure,
@@ -59,12 +57,9 @@ from .sweeps import (
 )
 
 __all__ = [
-    "SweepRunner",
-    "map_tasks",
     "FAILURE_POLICIES",
     "CheckpointMismatchError",
     "ResilientMap",
-    "ResilientRunner",
     "SweepTaskError",
     "TaskAudit",
     "TaskFailure",

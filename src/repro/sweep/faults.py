@@ -62,7 +62,7 @@ class InjectedFault(RuntimeError):
 def task_index(rng: np.random.Generator) -> int:
     """The flat task index encoded in the runner's spawned seed tree.
 
-    ``map_tasks`` / ``map_tasks_resilient`` build task *i*'s generator
+    :func:`~repro.sweep.resilient.map_tasks_resilient` builds task *i*'s generator
     from ``SeedSequence(seed).spawn(n)[i]``, whose spawn key ends in
     ``i`` — so a worker can recover its own index from nothing but the
     generator it was handed.

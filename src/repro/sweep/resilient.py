@@ -1,9 +1,10 @@
 """Fault-tolerant, checkpointed, chunked execution of sweep tasks.
 
-:func:`repro.sweep.runner.map_tasks` is the deterministic substrate —
-task *i*'s random stream is spawned from ``SeedSequence(seed)`` and never
-depends on the worker count.  This module keeps that contract and adds
-the three properties a *service* needs that a one-shot map does not:
+:func:`map_tasks_resilient` is the one sweep runner.  Its determinism
+contract: task *i*'s random stream is spawned from ``SeedSequence(seed)``
+and depends only on ``(seed, i)`` — never on the worker count, the
+chunking, retries or a resume.  On top of that it provides the three
+properties a *service* needs that a one-shot map does not:
 
 **Failure isolation.**  Every task runs inside a per-task ``try`` /
 ``except`` boundary (:func:`_guarded`, executed identically in-pool and
@@ -22,8 +23,9 @@ a content hash of the task list and seed (or an explicit
 ``checkpoint_key``), so resuming re-runs only missing and failed points
 — and because per-task streams depend only on ``(seed, index)``, the
 merged result is bit-identical to a single uninterrupted run.  A
-crash-truncated trailing line is tolerated; a key mismatch raises
-:class:`CheckpointMismatchError` instead of silently mixing studies.
+crash-torn trailing line is tolerated and cut off before the resume
+appends; a key mismatch raises :class:`CheckpointMismatchError` instead
+of silently mixing studies.
 
 **Pool robustness.**  Pool-layer failures are distinguished from worker
 exceptions (which the guarded boundary always converts to outcomes):
@@ -46,27 +48,30 @@ count.  The parent additionally records ``sweep.chunk`` spans and
 pool breakages/abandonment/spawn fallbacks, checkpoint restores).
 Durations never enter the checkpoint or any content hash.
 
-**Audit sidecar.**  With ``audit_sidecar=True`` (the default) a
-checkpointed run also appends each task's deterministic audit fields
-(mode, attempts — never wall-clock durations) to a ``<checkpoint>.audit``
-JSONL sidecar.  On resume, restored points keep ``mode="checkpoint"``
-but carry the original execution's ``source_mode`` / ``source_attempts``
-from the sidecar, so a resumed study retains its full execution history.
+**Audit sidecar.**  A checkpointed run also appends each task's
+deterministic audit fields (mode, attempts — never wall-clock durations)
+to a ``<checkpoint>.audit`` JSONL sidecar.  On resume, restored points
+keep ``mode="checkpoint"`` but carry the original execution's
+``source_mode`` / ``source_attempts`` from the sidecar, so a resumed
+study retains its full execution history.
 
-**Progress sidecar.**  With ``progress_sidecar=True`` (the default) a
-checkpointed run additionally streams live progress events to a
-``<checkpoint>.progress`` JSONL sidecar under the same study-identity
-discipline: a run ``start`` record (task/restored/pending counts),
-``chunk-start`` / ``chunk-end`` records with cumulative done / failed /
-restored / retry counts, ``pool`` records for pool-health transitions
-(spawn fallback, rebuild, abandonment), and an ``end`` record written
-only on normal completion — its absence marks a run as live or
-interrupted.  All wall-clock quantities (elapsed seconds, throughput,
-ETA — monotonic ``perf_counter`` durations) live under each record's
-``"timing"`` key, so the remaining fields are byte-identical across
-worker counts for healthy runs, exactly like the checkpoint itself.
-The numpy-free ``python -m repro.telemetry.watch`` CLI renders these
-sidecars offline or live.
+**Progress sidecar.**  A checkpointed run additionally streams live
+progress events to a ``<checkpoint>.progress`` JSONL sidecar under the
+same study-identity discipline: a run ``start`` record (task/restored/
+pending counts), ``chunk-start`` / ``chunk-end`` records with cumulative
+done / failed / restored / retry counts, ``pool`` records for
+pool-health transitions (spawn fallback, rebuild, abandonment), and an
+``end`` record written only on normal completion — its absence marks a
+run as live or interrupted.  All wall-clock quantities (elapsed seconds,
+throughput, ETA — monotonic ``perf_counter`` durations) live under each
+record's ``"timing"`` key, so the remaining fields are byte-identical
+across worker counts for healthy runs, exactly like the checkpoint
+itself.  The numpy-free ``python -m repro.telemetry.watch`` CLI renders
+these sidecars offline or live.
+
+The three files share one header shape and one torn-tail-tolerant
+reader (:data:`repro._jsonio.JOURNAL_FILES`,
+:func:`repro._jsonio.read_journal`).
 
 **Provenance.**  A ``manifest`` mapping (see
 :func:`repro.telemetry.manifest.collect_manifest`) passed by the caller
@@ -77,7 +82,6 @@ seed only, so a checkpoint written on one machine restores on another.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
@@ -90,11 +94,15 @@ import numpy as np
 
 from .. import telemetry
 from .._jsonio import (
+    JOURNAL_FILES,
+    CheckpointMismatchError,
     content_key,
     decode_json_value,
     dumps_compact,
     encode_json_value,
-    loads_strict,
+    journal_header,
+    journal_path,
+    read_journal,
 )
 
 __all__ = [
@@ -104,7 +112,6 @@ __all__ = [
     "ResilientMap",
     "SweepTaskError",
     "CheckpointMismatchError",
-    "ResilientRunner",
     "map_tasks_resilient",
 ]
 
@@ -115,15 +122,6 @@ FAILURE_POLICIES = ("collect", "raise", "retry")
 #: the deepest frames — inside the worker — which are identical whether
 #: the task ran in a pool process or serially in-process.
 TRACEBACK_TAIL_LINES = 6
-
-_CHECKPOINT_KIND = "repro-sweep-checkpoint"
-_CHECKPOINT_VERSION = 1
-
-_AUDIT_KIND = "repro-sweep-audit"
-
-# Mirrored by the numpy-free watch CLI (repro.telemetry.watch), which
-# cannot import this module; tests pin the two copies equal.
-_PROGRESS_KIND = "repro-sweep-progress"
 
 
 @dataclass(frozen=True)
@@ -234,10 +232,6 @@ class SweepTaskError(RuntimeError):
             f"{failure.message}\n{failure.traceback_tail}"
         )
         self.failure = failure
-
-
-class CheckpointMismatchError(ValueError):
-    """The checkpoint file on disk belongs to a different study."""
 
 
 def _traceback_tail(exc: BaseException) -> str:
@@ -411,22 +405,7 @@ def _run_chunk(
     return outcomes
 
 
-# --- checkpoint file ----------------------------------------------------------
-
-
-def _checkpoint_header(
-    key: str, n_tasks: int, seed: int | None, manifest: dict | None = None
-) -> dict:
-    header = {
-        "kind": _CHECKPOINT_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
-    }
-    if manifest is not None:
-        header["manifest"] = manifest
-    return header
+# --- the journal: checkpoint plus .audit / .progress sidecars ----------------
 
 
 def _append_records(path: Path, records: list[dict]) -> None:
@@ -439,124 +418,82 @@ def _append_records(path: Path, records: list[dict]) -> None:
         os.fsync(handle.fileno())
 
 
-def _load_checkpoint(path: Path, header: dict) -> dict[int, Any]:
-    """Completed point values from an existing checkpoint file.
+def _seal(path: Path, end: int) -> None:
+    """Make a journal file safe to append to, durably.
 
-    Raises :class:`CheckpointMismatchError` unless the file's header
-    matches *header* exactly (kind, version, key, task count, seed).
-    Parsing stops at the first undecodable line — the signature of a
-    crash mid-append — so everything durably written still counts.
-    Failure records are skipped: failed points are re-run on resume.
+    *end* is the :func:`repro._jsonio.read_jsonl` offset just past the
+    last complete record.  A torn fragment beyond it is cut off, and a
+    last record missing its newline gets one — otherwise the first
+    appended record would be glued onto that line, and every reader
+    stops there, hiding everything the resume writes.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return {}
-    try:
-        first = loads_strict(lines[0])
-    except json.JSONDecodeError:
-        raise CheckpointMismatchError(f"{path} is not a sweep checkpoint") from None
-    if not isinstance(first, dict) or first.get("kind") != _CHECKPOINT_KIND:
-        raise CheckpointMismatchError(f"{path} is not a sweep checkpoint")
-    for name in ("version", "key", "n_tasks", "seed"):
-        if first.get(name) != header[name]:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} belongs to a different study: "
-                f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-            )
-    values: dict[int, Any] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
-        if record.get("kind") == "point":
-            index = int(record["index"])
-            if 0 <= index < header["n_tasks"]:
-                values[index] = decode_json_value(record["value"])
-    return values
+    with path.open("r+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(end - 1)
+        terminated = handle.read(1) == b"\n"
+        if end == size and terminated:
+            return
+        handle.truncate(end)
+        handle.seek(end)
+        if not terminated:
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
-# --- audit sidecar ------------------------------------------------------------
+def _open_journal(
+    checkpoint: str | Path, key: str, n_tasks: int, seed: int | None, manifest: dict | None
+) -> tuple[dict[str, Path], dict[str, list[dict]]]:
+    """Paths and body records of a sweep's journal files, ready for appending.
 
-
-def _audit_sidecar_path(checkpoint_path: Path) -> Path:
-    """The audit sidecar living next to *checkpoint_path* (``<name>.audit``)."""
-    return checkpoint_path.with_name(checkpoint_path.name + ".audit")
-
-
-def _audit_header(key: str, n_tasks: int, seed: int | None) -> dict:
-    return {
-        "kind": _AUDIT_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
+    Every existing file is validated first (:class:`CheckpointMismatchError`
+    on a foreign kind or study) and only then sealed; a missing or empty
+    file is created holding its header.  The audit header carries no
+    manifest.
+    """
+    paths = {name: journal_path(checkpoint, name) for name in JOURNAL_FILES}
+    headers = {
+        name: journal_header(name, key, n_tasks, seed, None if name == "audit" else manifest)
+        for name in JOURNAL_FILES
     }
+    found = {name: read_journal(paths[name], name, headers[name]) for name in JOURNAL_FILES}
+    for name, path in paths.items():
+        if found[name].records:
+            _seal(path, found[name].end)
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _append_records(path, [headers[name]])
+    return paths, {name: found[name].records[1:] for name in JOURNAL_FILES}
 
 
-def _load_audit_sidecar(path: Path, header: dict) -> dict[int, tuple[str, int]]:
-    """``{index: (mode, attempts)}`` from an audit sidecar file.
+def _restored(bodies: dict[str, list[dict]], n_tasks: int) -> dict[int, tuple[Any, TaskAudit]]:
+    """``{index: (value, audit)}`` of the points a journal already completed.
 
-    Same study-identity discipline as :func:`_load_checkpoint`: the
-    header must match (key, task count, seed) or
-    :class:`CheckpointMismatchError` is raised.  Records are
-    last-write-wins per index (a re-run after failure supersedes the
-    failed attempt's audit); parsing stops at the first undecodable
-    line, and unknown record kinds are skipped.
+    Failure records are skipped — failed points are re-run on resume.
+    Audit records are last-write-wins per index (a re-run after failure
+    supersedes the failed attempt's audit) and carry over as the
+    restored point's ``source_mode`` / ``source_attempts``.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return {}
-    try:
-        first = loads_strict(lines[0])
-    except json.JSONDecodeError:
-        raise CheckpointMismatchError(f"{path} is not a sweep audit sidecar") from None
-    if not isinstance(first, dict) or first.get("kind") != _AUDIT_KIND:
-        raise CheckpointMismatchError(f"{path} is not a sweep audit sidecar")
-    for name in ("version", "key", "n_tasks", "seed"):
-        if first.get(name) != header[name]:
-            raise CheckpointMismatchError(
-                f"audit sidecar {path} belongs to a different study: "
-                f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-            )
     sources: dict[int, tuple[str, int]] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
+    for record in bodies["audit"]:
         if record.get("kind") == "audit":
-            index = int(record["index"])
-            if 0 <= index < header["n_tasks"]:
-                sources[index] = (str(record["mode"]), int(record["attempts"]))
-    return sources
-
-
-# --- progress sidecar ---------------------------------------------------------
-
-
-def _progress_sidecar_path(checkpoint_path: Path) -> Path:
-    """The progress sidecar living next to *checkpoint_path* (``<name>.progress``)."""
-    return checkpoint_path.with_name(checkpoint_path.name + ".progress")
-
-
-def _progress_header(
-    key: str, n_tasks: int, seed: int | None, manifest: dict | None = None
-) -> dict:
-    header = {
-        "kind": _PROGRESS_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
-    }
-    if manifest is not None:
-        header["manifest"] = manifest
-    return header
+            sources[int(record["index"])] = (str(record["mode"]), int(record["attempts"]))
+    restored: dict[int, tuple[Any, TaskAudit]] = {}
+    for record in bodies["checkpoint"]:
+        if record.get("kind") != "point" or not 0 <= int(record["index"]) < n_tasks:
+            continue
+        index = int(record["index"])
+        source_mode, source_attempts = sources.get(index, (None, None))
+        audit = TaskAudit(
+            index=index,
+            mode="checkpoint",
+            duration_s=0.0,
+            attempts=0,
+            source_mode=source_mode,
+            source_attempts=source_attempts,
+        )
+        restored[index] = (decode_json_value(record["value"]), audit)
+    return restored
 
 
 class _ProgressWriter:
@@ -571,26 +508,8 @@ class _ProgressWriter:
     fields byte-identical across worker counts for healthy runs.
     """
 
-    def __init__(self, path: Path, header: dict):
+    def __init__(self, path: Path):
         self.path = path
-        if path.exists() and path.stat().st_size > 0:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            try:
-                first = loads_strict(lines[0])
-            except json.JSONDecodeError:
-                raise CheckpointMismatchError(
-                    f"{path} is not a sweep progress sidecar"
-                ) from None
-            if not isinstance(first, dict) or first.get("kind") != _PROGRESS_KIND:
-                raise CheckpointMismatchError(f"{path} is not a sweep progress sidecar")
-            for name in ("version", "key", "n_tasks", "seed"):
-                if first.get(name) != header[name]:
-                    raise CheckpointMismatchError(
-                        f"progress sidecar {path} belongs to a different study: "
-                        f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-                    )
-        else:
-            _append_records(path, [header])
         self._origin = time.perf_counter()
         self.done = 0
         self.failed = 0
@@ -680,8 +599,6 @@ def map_tasks_resilient(
     chunk_timeout_s: float | None = None,
     checkpoint: str | Path | None = None,
     checkpoint_key: str | None = None,
-    audit_sidecar: bool = True,
-    progress_sidecar: bool = True,
     manifest: dict | None = None,
 ) -> ResilientMap:
     """Run ``worker(task, rng)`` over *tasks* with isolation and checkpoints.
@@ -720,23 +637,14 @@ def map_tasks_resilient(
         key (or :class:`CheckpointMismatchError` is raised) and its
         completed points are not re-run; the worker's return values must
         be JSON-representable (numbers, strings, ``None``, lists/tuples,
-        dicts — restored values come back with lists for tuples).
+        dicts — restored values come back with lists for tuples).  The
+        run also keeps the ``<checkpoint>.audit`` sidecar (each task's
+        mode and attempts, surfaced on resume as ``source_mode`` /
+        ``source_attempts``) and the ``<checkpoint>.progress`` sidecar
+        (live events for ``python -m repro.telemetry.watch``).
     checkpoint_key:
         Explicit study identity; default is a content hash of the task
         list and seed via :func:`repro._jsonio.content_key`.
-    audit_sidecar:
-        With a checkpoint, also persist each task's deterministic audit
-        fields (mode, attempts — never durations) to a
-        ``<checkpoint>.audit`` sidecar, and on resume surface the
-        original execution's fields as ``source_mode`` /
-        ``source_attempts`` on restored points' :class:`TaskAudit`.
-        Ignored without a checkpoint.
-    progress_sidecar:
-        With a checkpoint, stream live progress events (run start,
-        chunk start/end with cumulative counts, pool-health transitions,
-        normal-completion end) to a ``<checkpoint>.progress`` sidecar
-        for the ``python -m repro.telemetry.watch`` CLI.  Ignored
-        without a checkpoint.
     manifest:
         Optional provenance mapping (a
         :meth:`repro.telemetry.manifest.RunManifest.to_dict` payload)
@@ -764,56 +672,24 @@ def map_tasks_resilient(
     audits: list = [None] * n_tasks
     failures: dict[int, TaskFailure] = {}
 
-    checkpoint_path = None
-    sidecar_path = None
+    journal: dict[str, Path] = {}
     n_restored = 0
     if checkpoint is not None:
-        checkpoint_path = Path(checkpoint)
         if checkpoint_key is None:
             checkpoint_key = content_key({"tasks": tasks, "seed": seed})
-        header = _checkpoint_header(checkpoint_key, n_tasks, seed, manifest)
-        if audit_sidecar:
-            sidecar_path = _audit_sidecar_path(checkpoint_path)
-        if checkpoint_path.exists() and checkpoint_path.stat().st_size > 0:
-            sources: dict[int, tuple[str, int]] = {}
-            if (
-                sidecar_path is not None
-                and sidecar_path.exists()
-                and sidecar_path.stat().st_size > 0
-            ):
-                sources = _load_audit_sidecar(
-                    sidecar_path, _audit_header(checkpoint_key, n_tasks, seed)
-                )
-            for index, value in _load_checkpoint(checkpoint_path, header).items():
-                values[index] = value
-                source_mode, source_attempts = sources.get(index, (None, None))
-                audits[index] = TaskAudit(
-                    index=index,
-                    mode="checkpoint",
-                    duration_s=0.0,
-                    attempts=0,
-                    source_mode=source_mode,
-                    source_attempts=source_attempts,
-                )
-                n_restored += 1
-        else:
-            if checkpoint_path.parent != Path(""):
-                checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-            _append_records(checkpoint_path, [header])
-        if sidecar_path is not None and (
-            not sidecar_path.exists() or sidecar_path.stat().st_size == 0
-        ):
-            _append_records(sidecar_path, [_audit_header(checkpoint_key, n_tasks, seed)])
+        journal, bodies = _open_journal(checkpoint, checkpoint_key, n_tasks, seed, manifest)
+        restored = _restored(bodies, n_tasks)
+        for index, (value, audit) in restored.items():
+            values[index] = value
+            audits[index] = audit
+        n_restored = len(restored)
 
     pending = [index for index in range(n_tasks) if audits[index] is None]
     size = chunk_size if chunk_size is not None else max(n_tasks, 1)
 
     progress = None
-    if checkpoint_path is not None and progress_sidecar:
-        progress = _ProgressWriter(
-            _progress_sidecar_path(checkpoint_path),
-            _progress_header(checkpoint_key, n_tasks, seed, manifest),
-        )
+    if journal:
+        progress = _ProgressWriter(journal["progress"])
         progress.restored = n_restored
         progress.pending = len(pending)
         n_planned = (len(pending) + size - 1) // size
@@ -854,7 +730,7 @@ def map_tasks_resilient(
                     audits[index] = TaskAudit(
                         index=index, mode=mode, duration_s=duration, attempts=attempts
                     )
-                    if checkpoint_path is not None:
+                    if journal:
                         records.append(
                             {"kind": "point", "index": index, "value": encode_json_value(value)}
                         )
@@ -873,7 +749,7 @@ def map_tasks_resilient(
                     audits[index] = TaskAudit(
                         index=index, mode=mode, duration_s=duration, attempts=attempts
                     )
-                    if checkpoint_path is not None:
+                    if journal:
                         records.append(
                             {"kind": "failure", "index": index, "failure": failure.to_dict()}
                         )
@@ -882,14 +758,14 @@ def map_tasks_resilient(
                     # ascending, so this merge order is the task-index order
                     # — worker count and pool health cannot reorder it.
                     tracer.merge_snapshot(snapshot)
-                if sidecar_path is not None:
+                if journal:
                     audit_records.append(
                         {"kind": "audit", "index": index, "mode": mode, "attempts": attempts}
                     )
-            if checkpoint_path is not None and records:
-                _append_records(checkpoint_path, records)
-            if sidecar_path is not None and audit_records:
-                _append_records(sidecar_path, audit_records)
+            if records:
+                _append_records(journal["checkpoint"], records)
+            if audit_records:
+                _append_records(journal["audit"], audit_records)
             if progress is not None:
                 n_failed = len(chunk_failures)
                 progress.done += len(chunk) - n_failed
@@ -911,48 +787,3 @@ def map_tasks_resilient(
     ordered = tuple(failures[index] for index in sorted(failures))
     return ResilientMap(values=values, failures=ordered, audit=tuple(audits))
 
-
-@dataclass(frozen=True)
-class ResilientRunner:
-    """Reusable resilient-runner configuration (see :func:`map_tasks_resilient`).
-
-    The resilient sibling of :class:`repro.sweep.runner.SweepRunner`:
-    same seeding contract, plus chunking, failure policy, bounded retry
-    and per-chunk timeout.  Checkpointing stays per-call (`run`), since
-    the checkpoint identity belongs to a study, not a runner.
-    """
-
-    workers: int | None = None
-    seed: int | None = 0
-    chunk_size: int | None = None
-    failure_policy: str = "collect"
-    max_retries: int = 1
-    chunk_timeout_s: float | None = None
-
-    def run(
-        self,
-        worker: Callable,
-        tasks: Sequence[Any],
-        *,
-        checkpoint: str | Path | None = None,
-        checkpoint_key: str | None = None,
-        audit_sidecar: bool = True,
-        progress_sidecar: bool = True,
-        manifest: dict | None = None,
-    ) -> ResilientMap:
-        """Map *worker* over *tasks* with this runner's configuration."""
-        return map_tasks_resilient(
-            worker,
-            tasks,
-            seed=self.seed,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            failure_policy=self.failure_policy,
-            max_retries=self.max_retries,
-            chunk_timeout_s=self.chunk_timeout_s,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
-            audit_sidecar=audit_sidecar,
-            progress_sidecar=progress_sidecar,
-            manifest=manifest,
-        )

@@ -35,11 +35,10 @@ code is 1 — the soft trend gate beside the hard ``--floor`` one.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 from pathlib import Path
 
-from .._jsonio import dumps_strict, loads_strict
+from .._jsonio import dumps_strict, read_jsonl
 from ..reporting.tables import TextTable
 from . import SPAN_HISTOGRAM_PREFIX, Tracer, read_trace
 
@@ -228,21 +227,14 @@ def summarize(source: "str | Path | Tracer | dict") -> str:
 def load_history(path: str | Path) -> list[dict]:
     """All complete :data:`HISTORY_KIND` records of a bench-history ledger.
 
-    Torn-tail-tolerant like every JSONL reader here: parsing stops at the
-    first malformed line.  Raises ``ValueError`` when the file contains no
-    history record at all (the watcher was pointed at the wrong file).
+    Torn-tail-tolerant (:func:`repro._jsonio.read_jsonl`): parsing stops
+    at the first malformed line.  Raises ``ValueError`` when the file
+    contains no history record at all (the watcher was pointed at the
+    wrong file).
     """
-    path = Path(path)
-    records: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(record, dict) and record.get("kind") == HISTORY_KIND:
-            records.append(record)
+    records = [
+        record for record in read_jsonl(path).records if record.get("kind") == HISTORY_KIND
+    ]
     if not records:
         raise ValueError(f"{path} contains no {HISTORY_KIND} records")
     return records

@@ -10,86 +10,28 @@ trace file is supplied — the per-stage time breakdown.  ``--follow``
 re-renders every ``--interval`` seconds until the run writes its ``end``
 record.
 
-The module is deliberately **numpy-free**: it reads JSONL through
-:mod:`repro._jsonio` (guarded numpy import) and renders through the
-dependency-free :mod:`repro.reporting` tables, so an operator can watch
-a sweep from an environment that cannot import the simulation stack —
-the CI lint job smoke-tests exactly that.  For the same reason the
-sidecar ``kind`` tags are mirrored here as constants instead of being
-imported from :mod:`repro.sweep.resilient` (which imports numpy);
-``tests/telemetry/test_watch.py`` pins the two copies equal.
-
-Every reader is torn-tail-tolerant: an interrupted writer can tear at
-most the trailing line of an append-only JSONL file, so parsing stops at
-the first malformed line and everything durably written still counts —
-the same discipline as the checkpoint/audit/trace readers.
+The module is deliberately **numpy-free**: it reads the journal files
+through :func:`repro._jsonio.read_journal` (guarded numpy import; the
+same torn-tail-tolerant reader and file table the writer uses) and
+renders through the dependency-free :mod:`repro.reporting` tables, so an
+operator can watch a sweep from an environment that cannot import the
+simulation stack — the CI lint job smoke-tests exactly that.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
-from .._jsonio import dumps_strict, loads_strict
+from .._jsonio import JOURNAL_FILES, dumps_strict, journal_path, read_journal
 from ..reporting.tables import TextTable
 
 __all__ = [
-    "CHECKPOINT_KIND",
-    "AUDIT_KIND",
-    "PROGRESS_KIND",
-    "read_jsonl_tolerant",
     "collect_status",
     "render_status",
     "main",
 ]
-
-#: Mirrors of the private header kinds in :mod:`repro.sweep.resilient`
-#: (unimportable here without numpy); pinned equal by the test suite.
-CHECKPOINT_KIND = "repro-sweep-checkpoint"
-AUDIT_KIND = "repro-sweep-audit"
-PROGRESS_KIND = "repro-sweep-progress"
-
-
-def read_jsonl_tolerant(path: Path) -> tuple[list[dict], str | None]:
-    """All complete records of a JSONL file, plus any torn trailing text.
-
-    Parsing stops at the first undecodable line (the signature of a
-    crash or an in-flight append); the raw torn text is returned as the
-    second element (``None`` for an intact file).
-    """
-    records: list[dict] = []
-    truncated = None
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            truncated = line
-            break
-        if isinstance(record, dict):
-            records.append(record)
-    return records, truncated
-
-
-def _read_sidecar(path: Path, kind: str) -> tuple[dict | None, list[dict], str | None]:
-    """(header, body records, torn tail) of one sidecar, or all-empty.
-
-    A missing or empty file yields ``(None, [], None)``; a file whose
-    header is not *kind* raises ``ValueError`` (the watcher was pointed
-    at the wrong file — better loud than a silently empty report).
-    """
-    if not path.exists() or path.stat().st_size == 0:
-        return None, [], None
-    records, truncated = read_jsonl_tolerant(path)
-    if not records:
-        return None, [], truncated
-    header = records[0]
-    if header.get("kind") != kind:
-        raise ValueError(f"{path} is not a {kind} file (kind={header.get('kind')!r})")
-    return header, records[1:], truncated
 
 
 def collect_status(checkpoint: str | Path) -> dict:
@@ -101,35 +43,26 @@ def collect_status(checkpoint: str | Path) -> dict:
     events (a resumed run appends a fresh ``start`` record); durable
     point/failure counts come from the checkpoint itself.
     """
-    checkpoint = Path(checkpoint)
-    progress_path = checkpoint.with_name(checkpoint.name + ".progress")
-    audit_path = checkpoint.with_name(checkpoint.name + ".audit")
-
-    cp_header, cp_records, cp_torn = _read_sidecar(checkpoint, CHECKPOINT_KIND)
-    pg_header, pg_records, pg_torn = _read_sidecar(progress_path, PROGRESS_KIND)
-    au_header, au_records, au_torn = _read_sidecar(audit_path, AUDIT_KIND)
-    if cp_header is None and pg_header is None:
+    journals = {name: read_journal(journal_path(checkpoint, name), name) for name in JOURNAL_FILES}
+    cp_records = journals["checkpoint"].records[1:]
+    pg_records = journals["progress"].records[1:]
+    au_records = journals["audit"].records[1:]
+    present = {name: bool(journal.records) for name, journal in journals.items()}
+    if not (present["checkpoint"] or present["progress"]):
         raise FileNotFoundError(
-            f"neither {checkpoint} nor {progress_path} exists (or both are empty)"
+            f"neither {checkpoint} nor {journal_path(checkpoint, 'progress')} exists "
+            "(or both are empty)"
         )
 
-    header = pg_header if pg_header is not None else cp_header
+    header = journals["progress" if present["progress"] else "checkpoint"].records[0]
     status: dict = {
         "checkpoint": str(checkpoint),
         "key": header.get("key"),
         "n_tasks": header.get("n_tasks"),
         "seed": header.get("seed"),
         "manifest": header.get("manifest"),
-        "files": {
-            "checkpoint": cp_header is not None,
-            "progress": pg_header is not None,
-            "audit": au_header is not None,
-        },
-        "torn_tails": {
-            "checkpoint": cp_torn is not None,
-            "progress": pg_torn is not None,
-            "audit": au_torn is not None,
-        },
+        "files": present,
+        "torn_tails": {name: journal.torn is not None for name, journal in journals.items()},
     }
 
     # Durable truth from the checkpoint body: last record per index wins
@@ -145,7 +78,7 @@ def collect_status(checkpoint: str | Path) -> dict:
 
     # Latest run = everything after the last "start" progress event.
     run: dict = {"state": "unknown", "events": 0}
-    if pg_header is not None:
+    if present["progress"]:
         last_start = 0
         for position, record in enumerate(pg_records):
             if record.get("kind") == "start":
@@ -170,7 +103,7 @@ def collect_status(checkpoint: str | Path) -> dict:
     status["run"] = run
 
     # Execution-mode counts from the audit sidecar (last write per index wins).
-    if au_header is not None:
+    if present["audit"]:
         modes: dict[int, str] = {}
         for record in au_records:
             if record.get("kind") == "audit":
@@ -184,7 +117,7 @@ def collect_status(checkpoint: str | Path) -> dict:
     processed = None
     if "done" in run:
         processed = run.get("restored", 0) + run["done"] + run.get("failed", 0)
-    elif cp_header is not None:
+    elif present["checkpoint"]:
         processed = status["durable"]["points"] + status["durable"]["failures"]
     if processed is not None and n_tasks:
         status["completion"] = processed / n_tasks

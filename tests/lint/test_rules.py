@@ -182,10 +182,10 @@ class TestSpawnUnsafeCallable:
     def test_lambda_worker(self):
         finding = single(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
-                return map_tasks(lambda task, rng: task, tasks, seed=0)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0)
             """
         )
         assert finding.code == "RPL004"
@@ -221,13 +221,13 @@ class TestSpawnUnsafeCallable:
         assert (
             codes(
                 """
-                from repro.sweep import map_tasks
+                from repro.sweep import map_tasks_resilient
 
                 def worker(task, rng):
                     return task
 
                 def run(tasks):
-                    return map_tasks(worker, tasks, seed=0)
+                    return map_tasks_resilient(worker, tasks, seed=0)
                 """
             )
             == []
@@ -237,7 +237,7 @@ class TestSpawnUnsafeCallable:
         assert (
             codes(
                 """
-                from repro.sweep import map_tasks
+                from repro.sweep import map_tasks_resilient
 
                 def worker(task, rng):
                     return task
@@ -246,7 +246,7 @@ class TestSpawnUnsafeCallable:
                     class Helper:
                         def worker(self, task, rng):
                             return task
-                    return map_tasks(worker, tasks, seed=0)
+                    return map_tasks_resilient(worker, tasks, seed=0)
                 """
             )
             == []
@@ -255,11 +255,11 @@ class TestSpawnUnsafeCallable:
     def test_pragma_suppresses(self):
         source = textwrap.dedent(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
                 # repro-lint: disable=RPL004 — fixture, serial-only test helper
-                return map_tasks(lambda task, rng: task, tasks, seed=0, workers=1)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0, workers=1)
             """
         )
         assert [finding.code for finding in lint_source(source, SRC)] == []
@@ -267,10 +267,10 @@ class TestSpawnUnsafeCallable:
     def test_baseline_suppresses(self, tmp_path):
         source = textwrap.dedent(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
-                return map_tasks(lambda task, rng: task, tasks, seed=0)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0)
             """
         )
         findings = lint_source(source, SRC)
@@ -459,6 +459,82 @@ class TestEnvironmentRead:
 
     def test_baseline_suppresses(self, tmp_path):
         findings = lint_source('import os\nvalue = os.getenv("X")\n', SRC)
+        Baseline.write(tmp_path / "base.json", findings)
+        kept, stale = Baseline.load(tmp_path / "base.json").apply(findings)
+        assert kept == [] and stale == []
+
+
+# --- RPL009 jsonl-reader ------------------------------------------------------
+
+
+class TestJsonlReader:
+    def test_loads_strict_in_a_line_loop(self):
+        finding = single(
+            """
+            from repro._jsonio import loads_strict
+
+            def read(path):
+                records = []
+                for line in path.read_text().splitlines():
+                    records.append(loads_strict(line))
+                return records
+            """
+        )
+        assert finding.code == "RPL009"
+        assert "read_jsonl" in finding.message
+
+    def test_relative_import_and_comprehension(self):
+        source = """
+            from .._jsonio import loads_strict
+
+            def read(text):
+                return [loads_strict(line) for line in text.splitlines()]
+            """
+        assert codes(source) == ["RPL009"]
+
+    def test_json_loads_in_a_while_loop(self):
+        source = """
+            import json
+
+            def read(handle):
+                while line := handle.readline():
+                    yield json.loads(line)
+            """
+        assert "RPL009" in codes(source)
+
+    def test_one_document_outside_a_loop_is_fine(self):
+        source = "from repro._jsonio import loads_strict\nvalue = loads_strict('{}')\n"
+        assert codes(source) == []
+
+    def test_loop_iterable_is_evaluated_once(self):
+        source = """
+            from repro._jsonio import loads_strict
+
+            def names(text):
+                return [name for name in loads_strict(text)]
+            """
+        assert codes(source) == []
+
+    def test_jsonio_itself_and_tests_are_exempt(self):
+        source = """
+            from repro._jsonio import loads_strict
+
+            def read(lines):
+                return [loads_strict(line) for line in lines]
+            """
+        assert codes(source, "src/repro/_jsonio.py") == []
+        assert codes(source, TEST) == []
+
+    def test_pragma_suppresses(self):
+        source = (
+            "from repro._jsonio import loads_strict\n"
+            "rows = [loads_strict(x) for x in 'ab']  # repro-lint: disable=RPL009 — fixture\n"
+        )
+        assert codes(source) == []
+
+    def test_baseline_suppresses(self, tmp_path):
+        source = "from repro._jsonio import loads_strict\nrows = [loads_strict(x) for x in 'ab']\n"
+        findings = lint_source(source, SRC)
         Baseline.write(tmp_path / "base.json", findings)
         kept, stale = Baseline.load(tmp_path / "base.json").apply(findings)
         assert kept == [] and stale == []

@@ -1,8 +1,8 @@
-"""Failure isolation, checkpoint/resume and pool robustness of the resilient runner."""
+"""Failure isolation, checkpoint/resume and pool robustness of the sweep runner."""
 
+import numpy as np
 import pytest
 
-from repro.sweep import map_tasks
 from repro.sweep.faults import (
     CrashInPool,
     FailEveryNth,
@@ -12,7 +12,6 @@ from repro.sweep.faults import (
 )
 from repro.sweep.resilient import (
     CheckpointMismatchError,
-    ResilientRunner,
     SweepTaskError,
     map_tasks_resilient,
 )
@@ -27,7 +26,9 @@ TASKS = list(range(10))
 
 
 def _reference(seed=42):
-    return map_tasks(_draw, TASKS, seed=seed, workers=1)
+    """The plain-loop oracle: task *i* draws from child *i* of ``SeedSequence(seed)``."""
+    children = np.random.SeedSequence(seed).spawn(len(TASKS))
+    return [_draw(task, np.random.default_rng(child)) for task, child in zip(TASKS, children)]
 
 
 class TestDeterminism:
@@ -44,12 +45,6 @@ class TestDeterminism:
         assert result.values == []
         assert result.failures == ()
         assert result.audit == ()
-
-    def test_runner_dataclass(self):
-        runner = ResilientRunner(workers=1, seed=3, chunk_size=2)
-        assert runner.run(_draw, [1.0, 2.0]).values == map_tasks(
-            _draw, [1.0, 2.0], seed=3, workers=1
-        )
 
 
 class TestFailureIsolation:
@@ -166,6 +161,11 @@ class TestCheckpointResume:
         assert resumed.values == _reference()
         restored = sum(audit.mode == "checkpoint" for audit in resumed.audit)
         assert restored == len(TASKS) - 2
+        # The resume cut the torn fragment before appending, so nothing it
+        # wrote is hidden behind that line from the next reader.
+        again = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        assert again.values == _reference()
+        assert all(audit.mode == "checkpoint" for audit in again.audit)
 
     def test_key_mismatch_raises_instead_of_mixing_studies(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
@@ -308,30 +308,15 @@ class TestAuditSidecar:
             assert audit.mode == "checkpoint"
             assert audit.source_mode == "serial"
 
-    def test_disabled_sidecar_leaves_no_file_and_no_sources(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
-        assert not (tmp_path / "sweep.jsonl.audit").exists()
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
-        for audit in resumed.audit:
-            assert audit.mode == "checkpoint"
-            assert audit.source_mode is None
-            assert audit.source_attempts is None
-
     def test_resume_without_sidecar_still_works(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        (tmp_path / "sweep.jsonl.audit").unlink()
+        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
         assert resumed.values == _reference()
+        assert all(audit.mode == "checkpoint" for audit in resumed.audit)
         assert all(audit.source_mode is None for audit in resumed.audit)
+        assert all(audit.source_attempts is None for audit in resumed.audit)
 
     def test_corrupt_sidecar_is_rejected(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
@@ -341,6 +326,8 @@ class TestAuditSidecar:
             map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
 
     def test_torn_sidecar_tail_is_tolerated(self, tmp_path):
+        import json
+
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(
             _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
@@ -355,6 +342,8 @@ class TestAuditSidecar:
         sources = [audit.source_mode for audit in resumed.audit]
         assert "serial" in sources  # everything durably written still counts
         assert sources[-1] is None  # the torn tail's audits are simply absent
+        for line in sidecar.read_text().splitlines():  # the resume cut the torn fragment
+            json.loads(line)
 
 
 def _progress_records(path):
@@ -458,14 +447,6 @@ class TestProgressSidecar:
         assert starts[1]["pending"] == 0
         assert records[-1]["kind"] == "end"
 
-    def test_disabled_sidecar_leaves_no_file(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint,
-            progress_sidecar=False,
-        )
-        assert not (tmp_path / "sweep.jsonl.progress").exists()
-
     def test_no_checkpoint_means_no_sidecar(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1)
@@ -526,3 +507,6 @@ class TestProgressSidecar:
             _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
         )
         assert resumed.values == _reference()
+        records = _progress_records(sidecar)  # the torn fragment is gone
+        assert [r["kind"] for r in records].count("start") == 2
+        assert records[-1]["kind"] == "end"

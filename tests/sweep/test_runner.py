@@ -1,8 +1,13 @@
-"""Determinism and fallback behaviour of the parallel sweep runner."""
+"""Seeding contract and exception boundaries of the sweep runner.
+
+The runner is :func:`repro.sweep.resilient.map_tasks_resilient`; its
+isolation, checkpoint and pool-robustness behaviour is covered in
+``test_resilient.py``.
+"""
 
 import pytest
 
-from repro.sweep.runner import SweepRunner, map_tasks
+from repro.sweep.resilient import map_tasks_resilient
 
 
 def _draw(task, rng):
@@ -14,36 +19,36 @@ def _structured(task, rng):
     return {"task": task, "draws": rng.normal(size=3).tolist()}
 
 
+def _values(worker, tasks, seed, workers):
+    return map_tasks_resilient(worker, tasks, seed=seed, workers=workers).values
+
+
 class TestDeterminism:
     def test_results_in_task_order(self):
-        results = map_tasks(_draw, [10.0, 20.0, 30.0], seed=1, workers=1)
+        results = _values(_draw, [10.0, 20.0, 30.0], seed=1, workers=1)
         assert [int(r) for r in results] == [10, 20, 30]
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_same_seed_same_results_regardless_of_worker_count(self, workers):
-        serial = map_tasks(_draw, list(range(8)), seed=42, workers=1)
-        pooled = map_tasks(_draw, list(range(8)), seed=42, workers=workers)
+        serial = _values(_draw, list(range(8)), seed=42, workers=1)
+        pooled = _values(_draw, list(range(8)), seed=42, workers=workers)
         assert serial == pooled
 
     def test_different_seeds_differ(self):
-        a = map_tasks(_draw, list(range(4)), seed=1, workers=1)
-        b = map_tasks(_draw, list(range(4)), seed=2, workers=1)
+        a = _values(_draw, list(range(4)), seed=1, workers=1)
+        b = _values(_draw, list(range(4)), seed=2, workers=1)
         assert a != b
 
     def test_task_streams_are_independent(self):
         """Each task's stream depends only on (seed, index), not on others."""
-        full = map_tasks(_structured, ["a", "b", "c"], seed=7, workers=1)
+        full = _values(_structured, ["a", "b", "c"], seed=7, workers=1)
         # Same seed, same index => same draws even with different task values.
-        other = map_tasks(_structured, ["x", "y", "z"], seed=7, workers=1)
+        other = _values(_structured, ["x", "y", "z"], seed=7, workers=1)
         for first, second in zip(full, other):
             assert first["draws"] == second["draws"]
 
     def test_empty_tasks(self):
-        assert map_tasks(_draw, [], seed=0, workers=4) == []
-
-    def test_runner_dataclass(self):
-        runner = SweepRunner(workers=1, seed=3)
-        assert runner.run(_draw, [1.0]) == map_tasks(_draw, [1.0], seed=3, workers=1)
+        assert _values(_draw, [], seed=0, workers=4) == []
 
 
 def _raise_os_error(task, rng):
@@ -63,23 +68,27 @@ class TestExceptionBoundaries:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_propagates_unchanged(self, workers):
-        with pytest.raises(OSError, match="worker-level failure for task 0"):
-            map_tasks(_raise_os_error, [0, 1], seed=0, workers=workers)
+        # A worker-raised OSError is the task's failure, not a refused spawn:
+        # it is recorded with its type and message, where it ran.
+        result = map_tasks_resilient(_raise_os_error, [0, 1], seed=0, workers=workers)
+        assert [failure.exception_type for failure in result.failures] == ["OSError"] * 2
+        assert "worker-level failure for task 0" in result.failures[0].message
+        assert {audit.mode for audit in result.audit} == {"pool" if workers > 1 else "serial"}
 
     def test_worker_exception_is_not_retried_serially(self):
         """Regression: a worker-raised error used to trigger a serial re-run."""
         _CALLS.clear()
-        with pytest.raises(ValueError, match="bad task"):
-            map_tasks(_counting_raiser, [0], seed=0, workers=1)
+        result = map_tasks_resilient(_counting_raiser, [0], seed=0, workers=1)
+        assert result.failures[0].exception_type == "ValueError"
         assert _CALLS == [0]
 
     def test_pool_spawn_failure_falls_back_to_serial(self, monkeypatch):
-        import repro.sweep.runner as runner
+        import repro.sweep.resilient as resilient
 
         class NoSpawn:
             def __init__(self, *args, **kwargs):
                 raise PermissionError("process spawning disabled")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", NoSpawn)
-        serial = map_tasks(_draw, list(range(6)), seed=42, workers=1)
-        assert map_tasks(_draw, list(range(6)), seed=42, workers=4) == serial
+        monkeypatch.setattr(resilient, "ProcessPoolExecutor", NoSpawn)
+        serial = _values(_draw, list(range(6)), seed=42, workers=1)
+        assert _values(_draw, list(range(6)), seed=42, workers=4) == serial

@@ -11,7 +11,6 @@ import pytest
 from repro.sweep.faults import FailEveryNth
 from repro.sweep.resilient import SweepTaskError, map_tasks_resilient
 from repro.telemetry import Tracer
-from repro.telemetry import watch
 from repro.telemetry.watch import collect_status, main, render_status
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -43,18 +42,6 @@ def _interrupted_run(tmp_path):
             failure_policy="raise", checkpoint=checkpoint,
         )
     return checkpoint
-
-
-class TestKindConstants:
-    def test_mirrors_match_the_writers(self):
-        # watch.py cannot import the numpy-dependent writer module, so it
-        # carries copies of the sidecar kind tags; pin the copies equal.
-        from repro.sweep import resilient
-        from repro.telemetry import TRACE_KIND  # noqa: F401 (import sanity)
-
-        assert watch.CHECKPOINT_KIND == resilient._CHECKPOINT_KIND
-        assert watch.AUDIT_KIND == resilient._AUDIT_KIND
-        assert watch.PROGRESS_KIND == resilient._PROGRESS_KIND
 
 
 class TestCollectStatus:
