@@ -86,8 +86,9 @@ SJ_FIG14 = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0,
                       sj_amplitude_ui_pp=0.10, sj_frequency_hz=250.0e6)
 
 
-#: Timed repeats of each statistical-eye leg (median, min and IQR are
-#: recorded; the speedup uses the median).
+#: Timed repeats of each statistical-eye leg and of the fast side of each
+#: backend comparison (median, min and IQR are recorded; the speedup uses
+#: the median).
 REPEATS = 5
 
 
@@ -122,6 +123,12 @@ def _spread_fields(prefix: str, spread: dict) -> dict:
     }
 
 
+def _print_backends(entry: dict) -> None:
+    print(f"  event {entry['event_s']}s  fast {entry['fast_s']}s (median of "
+          f"{entry['fast_s_repeats']}, IQR {entry['fast_s_iqr']}s)  "
+          f"speedup {entry['speedup']}x")
+
+
 def _traced(name, bench, **kwargs):
     """Run *bench* under a telemetry trace; embed its stage breakdown."""
     with telemetry.trace(name) as tracer:
@@ -139,15 +146,15 @@ def bench_fig09_sj_sweep(n_bits: int) -> dict:
         return ber_vs_sj_sweep(frequencies, amplitudes, base_jitter=BASE_JITTER,
                                n_bits=n_bits, backend=backend, seed=9, workers=1)
 
-    fast, fast_s = _timed(lambda: sweep("fast"))
+    fast, fast_spread = _repeated(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
         "grid_points": int(frequencies.size * amplitudes.size),
         "n_bits_per_point": n_bits,
         "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
-        "speedup": round(event_s / fast_s, 2),
+        **_spread_fields("fast_s", fast_spread),
+        "speedup": round(event_s / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
         "sweep_result": fast.source.to_dict(),
@@ -163,7 +170,7 @@ def bench_fig10_offset_sweep(n_bits: int) -> dict:
                                              n_bits=n_bits, backend=backend,
                                              seed=9, workers=1)
 
-    fast, fast_s = _timed(lambda: sweep("fast"))
+    fast, fast_spread = _repeated(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
@@ -171,8 +178,8 @@ def bench_fig10_offset_sweep(n_bits: int) -> dict:
         "n_bits_per_point": n_bits,
         "sweep_result": fast.source.to_dict(),
         "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
-        "speedup": round(event_s / fast_s, 2),
+        **_spread_fields("fast_s", fast_spread),
+        "speedup": round(event_s / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
     }
@@ -191,15 +198,15 @@ def bench_fig14_eye(n_bits: int) -> dict:
         result = channel.run(bits, jitter=SJ_FIG14, rng=np.random.default_rng(14))
         return result.eye_diagram().metrics(), result.ber().errors
 
-    (fast_eye, fast_errors), fast_s = _timed(lambda: run("fast"))
+    (fast_eye, fast_errors), fast_spread = _repeated(lambda: run("fast"))
     (event_eye, event_errors), event_s = _timed(lambda: run("event"))
     assert fast_errors == event_errors, "backend divergence!"
     assert fast_eye.n_crossings == event_eye.n_crossings
     return {
         "n_bits": n_bits,
         "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
-        "speedup": round(event_s / fast_s, 2),
+        **_spread_fields("fast_s", fast_spread),
+        "speedup": round(event_s / fast_spread["median"], 2),
         "identical_error_counts": True,
         "eye_opening_ui": round(fast_eye.eye_opening_ui, 4),
     }
@@ -222,7 +229,7 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
         return ber_vs_channel_loss_sweep(losses, link=link, n_bits=n_bits,
                                          backend=backend, seed=9, workers=1)
 
-    fast, fast_s = _timed(lambda: sweep("fast"))
+    fast, fast_spread = _repeated(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
@@ -230,8 +237,8 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
         "n_bits_per_point": n_bits,
         "sweep_result": fast.source.to_dict(),
         "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
-        "speedup": round(event_s / fast_s, 2),
+        **_spread_fields("fast_s", fast_spread),
+        "speedup": round(event_s / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
     }
@@ -457,22 +464,18 @@ def main() -> int:
     print("timing fig09 BER-vs-SJ sweep (event vs fast)...")
     fig09 = _traced("fig09_ber_vs_sj_sweep", bench_fig09_sj_sweep,
                     n_bits=1000 * scale)
-    print(f"  event {fig09['event_s']}s  fast {fig09['fast_s']}s  "
-          f"speedup {fig09['speedup']}x")
+    _print_backends(fig09)
     print("timing fig10 BER-vs-offset sweep...")
     fig10 = _traced("fig10_ber_vs_offset_sweep", bench_fig10_offset_sweep,
                     n_bits=1000 * scale)
-    print(f"  event {fig10['event_s']}s  fast {fig10['fast_s']}s  "
-          f"speedup {fig10['speedup']}x")
+    _print_backends(fig10)
     print("timing fig14 eye simulation...")
     fig14 = _traced("fig14_eye_prbs7", bench_fig14_eye, n_bits=2000 * scale)
-    print(f"  event {fig14['event_s']}s  fast {fig14['fast_s']}s  "
-          f"speedup {fig14['speedup']}x")
+    _print_backends(fig14)
     print("timing link BER-vs-loss sweep (waveform front end)...")
     link = _traced("link_ber_vs_loss", bench_link_ber_vs_loss,
                    n_bits=1000 * scale)
-    print(f"  event {link['event_s']}s  fast {link['fast_s']}s  "
-          f"speedup {link['speedup']}x")
+    _print_backends(link)
     print("timing statistical eye vs bit-true 1e-12 extrapolation...")
     stateye = _traced("stateye_vs_bittrue", bench_stateye_vs_bittrue,
                       n_bits=10000 * scale)

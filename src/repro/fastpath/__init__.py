@@ -4,9 +4,10 @@ The event-driven model in :mod:`repro.core.cdr_channel` pays pure-Python
 prices on every signal edge (heap events, closures, subscriber dispatch).
 Because the CDR topology is *fixed* — jittered NRZ edge stream, delay-line +
 XNOR edge detector, gated four-stage ring, decision flip-flop — its behaviour
-can be computed as numpy array passes plus one tight re-phasing recurrence,
+can be computed as numpy array passes plus one re-phasing recurrence (solved
+burst by burst in numpy where that is exact, event by event otherwise),
 producing the same :class:`~repro.core.cdr_channel.BehavioralSimulationResult`
-surface 10-50x faster.
+surface tens to hundreds of times faster (see PERFORMANCE.md).
 
 On configurations without per-gate delay jitter the fast path is equivalent
 to the event kernel down to the exact floating-point sample times (see

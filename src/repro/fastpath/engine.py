@@ -19,11 +19,18 @@ output.  Instead of dispatching per-edge events through the
 * The gated ring collapses to a recurrence on the **first stage only**: the
   inverter chain re-times stage-0 transitions by one stage delay each, so the
   feedback and both clock taps are shifted copies of the stage-0 change
-  stream.  A tight three-stream merge loop (EDET toggles, ring feedback,
-  pending stage-0 applies) reproduces the kernel's scheduling — including
+  stream.  On rings without per-stage jitter or gating-input skew, with an
+  odd number of inverters, every EDET-high interval restarts a settled ring,
+  so the recurrence is solved **burst by burst** in numpy
+  (:func:`_ring_bursts`): every burst's transitions are the same sequential
+  float sums the kernel computes.  The solver checks after the fact that
+  the toggle applies are strictly increasing and that each burst's last
+  feedback event lands no later than the next rise; where either fails, and
+  on jittered, skewed or even-inverter rings, a three-stream merge loop
+  (:func:`_ring_recurrence`: EDET toggles, ring feedback, pending stage-0
+  applies) reproduces the kernel's scheduling event by event — including
   transport cancellation, which *can* fire on stage 0 when a gating-input
-  skew is configured — at a few machine operations per event instead of a
-  heap transaction.
+  skew is configured.  That loop is also the solver's test oracle.
 * The decision flip-flop samples the delayed data at every rising clock
   edge, so the decisions are one ``searchsorted`` away.
 
@@ -109,6 +116,10 @@ def _ring_recurrence(
     cancelling any pending apply at or after that time — exact transport
     semantics.  A stage-0 apply that actually changes the value emits the
     inverter-chain events and the clock-tap samples.
+
+    This is the general path and the reference :func:`_ring_bursts` is
+    tested against; :func:`_ring_clock` runs it wherever the burst solver
+    does not apply.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
@@ -210,6 +221,173 @@ def _ring_recurrence(
             push0(t_e + delay(t_gate), v_last & gate_level)
 
     return clock_t, clock_v
+
+
+def _chain(stage0, t_stage: float, n_inverters: int, tap_hops: int):
+    """Re-time stage-0 transitions through the inverter chain.
+
+    Returns ``(tap, last)``: the times after *tap_hops* and after all
+    *n_inverters* sequential ``t_stage`` adds (floats or arrays alike).
+    """
+    tap = last = stage0
+    for hop in range(1, n_inverters + 1):
+        last = last + t_stage
+        if hop == tap_hops:
+            tap = last
+    return tap, last
+
+
+def _long_burst(x0: float, bound: float, duration_s: float,
+                increments: np.ndarray, tap_hops: int) -> tuple[np.ndarray, float]:
+    """Finish one burst alone, from its next (applied) transition *x0*.
+
+    *increments* is one transition's ``[t_stage, ..., t_feedback]``; tiled
+    behind *x0*, one ``np.add.accumulate`` (strictly sequential) yields the
+    same sums as the merge loop.  Returns the tap times of the transitions
+    applied while ``x < bound`` and ``x <= duration_s``, and the last one's
+    time at the end of the inverter chain.
+    """
+    period = float(increments.sum())
+    taps = []
+    while True:
+        # Enough transitions to pass the limit, unless rounding adds one more.
+        m = int((min(bound, duration_s) - x0) / period) + 2
+        sums = np.add.accumulate(np.concatenate(([x0], np.tile(increments, m))))
+        grid = sums[:-1].reshape(m, increments.size)
+        live = (grid[:, 0] < bound) & (grid[:, 0] <= duration_s)
+        n_live = m if live.all() else int(np.argmin(live))
+        taps.append(grid[:n_live, tap_hops])
+        x0 = float(sums[-1])
+        if n_live < m or x0 >= bound or x0 > duration_s:
+            return np.concatenate(taps), float(grid[n_live - 1, -1])
+
+
+def _ring_bursts(
+    edet_times: np.ndarray,
+    *,
+    t_feedback: float,
+    t_stage: float,
+    duration_s: float,
+    n_stages: int,
+    improved_tap: bool,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve the gated ring burst by burst; ``None`` where that is not exact.
+
+    Valid for rings without per-stage jitter, without gating skew
+    (``t_gate == t_feedback``) and with an odd number of inverters: then
+    every EDET-high interval restarts a settled ring, and its stage-0
+    transitions are a plain sequential accumulation.  A burst opens at
+    ``rise + t_gate`` (``0.0 + t_feedback`` for the time-zero kick), each
+    next transition follows at ``chain(x) + t_feedback``, transitions apply
+    while ``x < fall + t_gate`` and ``x <= duration_s``, and an odd count
+    ends with one fall at ``fall + t_gate``.  All bursts advance in
+    lockstep over the active rows; once no more rows are active than steps
+    were taken, each remaining (long) burst is finished alone with one
+    strictly sequential ``np.add.accumulate``, so every sum is the merge
+    loop's, byte for byte.
+
+    Returns ``None`` when the merge loop would not reduce to bursts: toggle
+    applies that are not strictly increasing (transport cancellation
+    between toggles), a burst whose last feedback event lands after the
+    next rise (ring not settled; ties go to the feedback, as in the loop),
+    or NaN toggle times.
+    """
+    if np.isnan(edet_times).any():
+        return None
+    n_inverters = n_stages - 1
+    tap_hops = n_inverters - 1 if improved_tap else n_inverters
+    edet = edet_times[edet_times <= duration_s]
+    applies = np.concatenate(([0.0 + t_feedback], edet + t_feedback))
+    if np.any(applies[1:] <= applies[:-1]):
+        return None
+    opened = int(np.searchsorted(applies[0::2], duration_s, side="right"))
+    starts = applies[0::2][:opened]
+    ends = np.append(applies[1::2], _INF)[:opened]
+
+    counts = np.zeros(opened, dtype=np.int64)
+    last_chain = np.empty(opened)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    rows, x, bound = np.arange(opened), starts, ends
+    while rows.size > len(steps):
+        tap, last = _chain(x, t_stage, n_inverters, tap_hops)
+        steps.append((rows, tap))
+        x = last + t_feedback
+        done = (x >= bound) | (x > duration_s)
+        if done.any():
+            counts[rows[done]] = len(steps)
+            last_chain[rows[done]] = last[done]
+            keep = ~done
+            rows, x, bound = rows[keep], x[keep], bound[keep]
+
+    tails: list[tuple[int, np.ndarray]] = []
+    increments = np.array([t_stage] * n_inverters + [t_feedback])
+    for row, x0, bound0 in zip(rows.tolist(), x.tolist(), bound.tolist()):
+        tap, last_chain[row] = _long_burst(x0, bound0, duration_s, increments, tap_hops)
+        counts[row] = len(steps) + tap.size
+        tails.append((row, tap))
+
+    falls = ((counts & 1) == 1) & (ends <= duration_s)
+    fall_tap, fall_last = _chain(ends[falls], t_stage, n_inverters, tap_hops)
+    last_chain[falls] = fall_last
+    settled_by = last_chain[:-1]
+    if np.any(settled_by > edet[1::2][:settled_by.size]):
+        return None
+
+    # Burst-major output.  Transition k sets stage 0 to 1 - (k & 1), the
+    # fall to 0; with an odd inverter count both taps carry that value.
+    sizes = counts + falls
+    offsets = np.cumsum(sizes) - sizes
+    times = np.empty(int(sizes.sum()))
+    values = np.zeros(times.size, dtype=np.int64)
+    for k, (step_rows, tap) in enumerate(steps):
+        at = offsets[step_rows] + k
+        times[at] = tap
+        values[at] = 1 - (k & 1)
+    for row, tap in tails:
+        at = offsets[row] + len(steps)
+        times[at:at + tap.size] = tap
+        values[at:at + tap.size] = 1 - ((len(steps) + np.arange(tap.size)) & 1)
+    times[offsets[falls] + counts[falls]] = fall_tap
+    return times, values
+
+
+def _ring_clock(
+    edet_times: np.ndarray,
+    *,
+    t_gate: float,
+    t_feedback: float,
+    t_stage: float,
+    duration_s: float,
+    n_stages: int,
+    sigma: float,
+    rng: np.random.Generator | None,
+    improved_tap: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clock-tap events of the gated ring: bursts where exact, else the merge loop.
+
+    :func:`_ring_bursts` runs on rings without per-stage jitter or gating
+    skew and with an odd number of inverters (an even stage count of at
+    least four: a two-stage ring has no improved tap); jittered, skewed or
+    even-inverter rings, and any stream the burst solver declines, go
+    through :func:`_ring_recurrence`.  The path taken is counted as
+    ``fastpath.ring.burst`` or ``fastpath.ring.scalar`` on the active tracer.
+    """
+    clock = None
+    jittered = sigma > 0.0 and rng is not None
+    if not jittered and t_gate == t_feedback and n_stages % 2 == 0 and n_stages > 2:
+        clock = _ring_bursts(edet_times, t_feedback=t_feedback, t_stage=t_stage,
+                             duration_s=duration_s, n_stages=n_stages,
+                             improved_tap=improved_tap)
+    tracer = telemetry.ACTIVE
+    if tracer:
+        tracer.count("fastpath.ring.scalar" if clock is None else "fastpath.ring.burst")
+    if clock is None:
+        clock_t, clock_v = _ring_recurrence(
+            edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
+            duration_s=duration_s, n_stages=n_stages, sigma=sigma, rng=rng,
+            improved_tap=improved_tap)
+        clock = np.asarray(clock_t, dtype=float), np.asarray(clock_v, dtype=np.int64)
+    return clock
 
 
 class FastCdrChannel:
@@ -325,7 +503,7 @@ class FastCdrChannel:
         t_gate = (stage_delay + parameters.gating_input_skew_s) * scale
         t_stage = stage_delay * scale
 
-        clock_t, clock_v = _ring_recurrence(
+        clock_times, clock_values = _ring_clock(
             edet_times,
             t_gate=t_gate,
             t_feedback=t_feedback,
@@ -336,8 +514,6 @@ class FastCdrChannel:
             rng=rng if parameters.jitter_sigma_fraction > 0.0 else None,
             improved_tap=config.improved_sampling,
         )
-        clock_times = np.asarray(clock_t, dtype=float)
-        clock_values = np.asarray(clock_v, dtype=np.int64)
         # Inverter-chain events past the run horizon never execute in the
         # event kernel (run_until stops there), so they produce no decision.
         horizon = clock_times <= duration

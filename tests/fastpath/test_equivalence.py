@@ -5,7 +5,9 @@ On configurations without per-gate delay jitter the fast path must be an
 identical bit decisions, identical BER counts, identical traces and eye
 metrics, on every seeded run of the corpus — across data-jitter mixes
 (DJ / RJ / SJ), transmitter ppm offsets, channel frequency offsets, both
-sampling taps and the edge-detector blanking corner.
+sampling taps and the edge-detector blanking corner — and on few-edge
+streams (all zeros, one transition, runs of 64) whose long bursts the fast
+path's ring solver finishes one at a time.
 
 With gate jitter enabled the fast path draws statistically identical but
 not draw-for-draw identical jitter, so only distribution-level agreement is
@@ -24,6 +26,7 @@ from repro.gates.ring import GccoParameters
 
 NO_GATE_JITTER = GccoParameters(jitter_sigma_fraction=0.0)
 BASE = CdrChannelConfig(oscillator=NO_GATE_JITTER)
+IMPROVED = CdrChannelConfig(oscillator=NO_GATE_JITTER, improved_sampling=True)
 FIG14_OFFSET = 2.5e9 / 2.375e9 - 1.0
 
 NO_JITTER = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0)
@@ -52,8 +55,17 @@ CORPUS = [
 ]
 
 
-def run_both(config, jitter, ppm, seed=1, n=500):
-    bits = prbs7(n)
+#: (label, bits) few-edge streams: their long EDET-high runs are the
+#: bursts the fast path finishes one at a time (its per-row tail).
+FEW_EDGE = [
+    ("all_zeros", np.zeros(600, dtype=np.uint8)),
+    ("one_transition", np.repeat(np.array([0, 1], dtype=np.uint8), 300)),
+    ("runs_of_64", (np.arange(600) // 64 % 2).astype(np.uint8)),
+]
+
+
+def run_both(config, jitter, ppm, seed=1, n=500, bits=None):
+    bits = prbs7(n) if bits is None else bits
     event = BehavioralCdrChannel(config).run(
         bits, jitter=jitter, data_rate_offset_ppm=ppm,
         rng=np.random.default_rng(seed))
@@ -74,6 +86,18 @@ class TestExactEquivalence:
         assert event_ber.errors == fast_ber.errors
         assert event_ber.compared_bits == fast_ber.compared_bits
         assert event.missed_bits() == fast.missed_bits()
+
+    @pytest.mark.parametrize("config", [BASE, IMPROVED], ids=["nominal_tap", "improved_tap"])
+    @pytest.mark.parametrize("label,bits", FEW_EDGE, ids=[c[0] for c in FEW_EDGE])
+    def test_few_edge_streams_match_exactly(self, label, bits, config):
+        event, fast = run_both(config, DJ_RJ, 0.0, bits=bits)
+        np.testing.assert_array_equal(event.sample_times_s, fast.sample_times_s)
+        np.testing.assert_array_equal(event.sampled_bits, fast.sampled_bits)
+        assert event.ber().errors == fast.ber().errors
+        for name in ("edet", "clock", "dout"):
+            np.testing.assert_array_equal(
+                event.trace(name).edges("any"), fast.trace(name).edges("any"),
+                err_msg=f"trace {name!r} diverged")
 
     @pytest.mark.parametrize("label,config,jitter,ppm",
                              CORPUS[:4], ids=[c[0] for c in CORPUS[:4]])

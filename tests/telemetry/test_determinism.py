@@ -14,9 +14,12 @@ The two contracts that make tracing safe to leave on in real studies:
 import numpy as np
 
 from repro import telemetry
+from repro.core.config import CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
-from repro.datapath.prbs import prbs_sequence
+from repro.datapath.prbs import prbs7, prbs_sequence
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
+from repro.fastpath import FastCdrChannel
+from repro.gates.ring import GccoParameters
 from repro.link import LinkConfig, LinkPath, RxCtle, TxFfe
 from repro.link.training import StatEyeObjective
 
@@ -72,6 +75,10 @@ class TestWorkerInvariance:
         # The pinned grid exercises the fastpath in every worker.
         assert merged(serial)["fastpath.runs"] == 4
         assert merged(serial)["fastpath.bits"] == 4 * 300
+        # One ring path per run.  The 1 UIpp, 750 MHz SJ point squeezes two
+        # edges closer than the ring settles, so it takes the merge loop.
+        assert merged(serial)["fastpath.ring.burst"] == 3
+        assert merged(serial)["fastpath.ring.scalar"] == 1
 
     def test_pool_health_counters_reflect_execution_mode(self):
         with telemetry.trace() as serial:
@@ -109,6 +116,18 @@ class TestInstrumentationPresence:
         assert objective.evaluations == 1
         solves = [span for span in tracer.spans if span.name == "stateye.solve"]
         assert len(solves) == 1
+
+    def test_ring_path_counters(self):
+        """One ring-path count per fast run: bursts by default, the merge loop when skewed."""
+        skewed = CdrChannelConfig(
+            oscillator=GccoParameters(jitter_sigma_fraction=0.0, gating_input_skew_s=5.0e-12)
+        )
+        bits = prbs7(300)
+        with telemetry.trace() as tracer:
+            FastCdrChannel().run(bits, jitter=MILD, rng=np.random.default_rng(1))
+            FastCdrChannel(skewed).run(bits, jitter=MILD, rng=np.random.default_rng(1))
+        assert tracer.counters["fastpath.ring.burst"] == 1
+        assert tracer.counters["fastpath.ring.scalar"] == 1
 
     def test_disabled_tracer_records_nothing(self):
         assert telemetry.ACTIVE is telemetry.NULL_TRACER
