@@ -86,9 +86,9 @@ SJ_FIG14 = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0,
                       sj_amplitude_ui_pp=0.10, sj_frequency_hz=250.0e6)
 
 
-#: Timed repeats of each statistical-eye leg and of the fast side of each
-#: backend comparison (median, min and IQR are recorded; the speedup uses
-#: the median).
+#: Timed repeats of each statistical-eye leg and of both sides of each
+#: backend and kernel-tier comparison (median, min and IQR are recorded;
+#: every speedup is a ratio of medians).
 REPEATS = 5
 
 
@@ -124,9 +124,9 @@ def _spread_fields(prefix: str, spread: dict) -> dict:
 
 
 def _print_backends(entry: dict) -> None:
-    print(f"  event {entry['event_s']}s  fast {entry['fast_s']}s (median of "
-          f"{entry['fast_s_repeats']}, IQR {entry['fast_s_iqr']}s)  "
-          f"speedup {entry['speedup']}x")
+    print(f"  event {entry['event_s']}s (IQR {entry['event_s_iqr']}s)  "
+          f"fast {entry['fast_s']}s (IQR {entry['fast_s_iqr']}s), medians of "
+          f"{entry['fast_s_repeats']}  speedup {entry['speedup']}x")
 
 
 def _traced(name, bench, **kwargs):
@@ -147,14 +147,14 @@ def bench_fig09_sj_sweep(n_bits: int) -> dict:
                                n_bits=n_bits, backend=backend, seed=9, workers=1)
 
     fast, fast_spread = _repeated(lambda: sweep("fast"))
-    event, event_s = _timed(lambda: sweep("event"))
+    event, event_spread = _repeated(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
         "grid_points": int(frequencies.size * amplitudes.size),
         "n_bits_per_point": n_bits,
-        "event_s": round(event_s, 3),
+        **_spread_fields("event_s", event_spread),
         **_spread_fields("fast_s", fast_spread),
-        "speedup": round(event_s / fast_spread["median"], 2),
+        "speedup": round(event_spread["median"] / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
         "sweep_result": fast.source.to_dict(),
@@ -171,15 +171,15 @@ def bench_fig10_offset_sweep(n_bits: int) -> dict:
                                              seed=9, workers=1)
 
     fast, fast_spread = _repeated(lambda: sweep("fast"))
-    event, event_s = _timed(lambda: sweep("event"))
+    event, event_spread = _repeated(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
         "grid_points": int(offsets.size),
         "n_bits_per_point": n_bits,
         "sweep_result": fast.source.to_dict(),
-        "event_s": round(event_s, 3),
+        **_spread_fields("event_s", event_spread),
         **_spread_fields("fast_s", fast_spread),
-        "speedup": round(event_s / fast_spread["median"], 2),
+        "speedup": round(event_spread["median"] / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
     }
@@ -199,14 +199,14 @@ def bench_fig14_eye(n_bits: int) -> dict:
         return result.eye_diagram().metrics(), result.ber().errors
 
     (fast_eye, fast_errors), fast_spread = _repeated(lambda: run("fast"))
-    (event_eye, event_errors), event_s = _timed(lambda: run("event"))
+    (event_eye, event_errors), event_spread = _repeated(lambda: run("event"))
     assert fast_errors == event_errors, "backend divergence!"
     assert fast_eye.n_crossings == event_eye.n_crossings
     return {
         "n_bits": n_bits,
-        "event_s": round(event_s, 3),
+        **_spread_fields("event_s", event_spread),
         **_spread_fields("fast_s", fast_spread),
-        "speedup": round(event_s / fast_spread["median"], 2),
+        "speedup": round(event_spread["median"] / fast_spread["median"], 2),
         "identical_error_counts": True,
         "eye_opening_ui": round(fast_eye.eye_opening_ui, 4),
     }
@@ -230,15 +230,15 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
                                          backend=backend, seed=9, workers=1)
 
     fast, fast_spread = _repeated(lambda: sweep("fast"))
-    event, event_s = _timed(lambda: sweep("event"))
+    event, event_spread = _repeated(lambda: sweep("event"))
     assert np.array_equal(fast.errors, event.errors), "backend divergence!"
     return {
         "grid_points": int(losses.size),
         "n_bits_per_point": n_bits,
         "sweep_result": fast.source.to_dict(),
-        "event_s": round(event_s, 3),
+        **_spread_fields("event_s", event_spread),
         **_spread_fields("fast_s", fast_spread),
-        "speedup": round(event_s / fast_spread["median"], 2),
+        "speedup": round(event_spread["median"] / fast_spread["median"], 2),
         "identical_error_counts": True,
         "total_errors": int(fast.total_errors),
     }
@@ -394,8 +394,8 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
         return channel, channel.run(bits, rng=np.random.default_rng(21),
                                     pattern_period=127)
 
-    (channel, fast), dispatched_s = _timed(run_dispatched)
-    reference, reference_s = _timed(run_reference)
+    (channel, fast), dispatched_spread = _repeated(run_dispatched)
+    reference, reference_spread = _repeated(run_reference)
     assert fast.sampled_bits.tobytes() == reference.sampled_bits.tobytes(), \
         "kernel tier divergence!"
     assert fast.ber().errors == reference.ber().errors, "kernel tier divergence!"
@@ -415,9 +415,9 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
         "resolved_backend": channel.backend,
         "resolved_kernel_tier": _kernels.resolve_tier("auto"),
         "jit_available": _kernels.jit_available(),
-        "reference_s": round(reference_s, 4),
-        "dispatched_s": round(dispatched_s, 4),
-        "speedup": round(reference_s / dispatched_s, 2),
+        **_spread_fields("reference_s", reference_spread),
+        **_spread_fields("dispatched_s", dispatched_spread),
+        "speedup": round(reference_spread["median"] / dispatched_spread["median"], 2),
         "bit_identical": True,
         "total_errors": int(fast.ber().errors),
         "dfe_adapt_reference_s": round(adapt_reference_s, 4),
@@ -495,8 +495,11 @@ def main() -> int:
     print("timing bit-true link sweep (reference tier vs dispatched kernels)...")
     kernels = _traced("bittrue_kernels", bench_bittrue_kernels,
                       n_bits=4000 * scale)
-    print(f"  reference {kernels['reference_s']}s  "
+    print(f"  reference {kernels['reference_s']}s "
+          f"(IQR {kernels['reference_s_iqr']}s)  "
           f"dispatched {kernels['dispatched_s']}s "
+          f"(IQR {kernels['dispatched_s_iqr']}s), medians of "
+          f"{kernels['reference_s_repeats']} "
           f"({kernels['resolved_backend']}, "
           f"{kernels['resolved_kernel_tier']} tier)  "
           f"speedup {kernels['speedup']}x  "

@@ -23,7 +23,7 @@ from ..datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
 from ..events.kernel import Simulator
 from ..events.signal import Signal
 from ..events.waveform import Trace, WaveformRecorder
-from ..gates.cml import CmlTiming
+from ..gates.cml import BlockNormals, CmlTiming
 from ..gates.ring import GatedRingOscillator
 from ..gates.storage import CmlFlipFlop
 from .config import CdrChannelConfig
@@ -288,13 +288,17 @@ class BehavioralCdrChannel:
         data_in.drive(stream.edge_times_s, stream.bits[stream.edge_bit_index])
 
         # --- channel hardware -------------------------------------------------
+        # Every gate draws its delay jitter from the run's Generator, in event
+        # order; BlockNormals serves the same draws from blocks and leaves
+        # *rng* in the same state as scalar draws once the run is over.
+        jitter_rng = BlockNormals(rng)
         edge_detector = EdgeDetector(
             simulator,
             data_in,
             total_delay_s=config.edge_detector_delay_s,
             n_cells=config.edge_detector_cells,
             jitter_sigma_fraction=config.gate_jitter_sigma_fraction,
-            rng=rng,
+            rng=jitter_rng,
         )
 
         oscillator_parameters = config.oscillator
@@ -310,7 +314,7 @@ class BehavioralCdrChannel:
             edge_detector.output,
             oscillator_parameters,
             control_current_a=control_current,
-            rng=rng,
+            rng=jitter_rng,
         )
         clock = oscillator.clock_improved if config.improved_sampling else oscillator.clock_nominal
 
@@ -323,7 +327,7 @@ class BehavioralCdrChannel:
             data_out,
             CmlTiming(nominal_delay_s=config.sampler_delay_s,
                       jitter_sigma_fraction=config.gate_jitter_sigma_fraction),
-            rng=rng,
+            rng=jitter_rng,
         )
 
         # --- recording --------------------------------------------------------
@@ -335,7 +339,8 @@ class BehavioralCdrChannel:
 
         # --- run ---------------------------------------------------------------
         duration = start_time + stream.duration_s + 4.0 * config.unit_interval_s
-        simulator.run_until(duration)
+        with jitter_rng:
+            simulator.run_until(duration)
 
         sample_times = sampler.decision_times()
         sampled_bits = sampler.decision_values()

@@ -34,6 +34,8 @@ __all__ = [
     "SimulationError",
 ]
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (negative delays, running past the horizon...)."""
@@ -143,12 +145,18 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def call_at(self, time_s: float, callback: Callable[[], None]) -> None:
-        """Schedule *callback* at absolute time *time_s* (must not be in the past)."""
-        if time_s < self._now - 1.0e-18:
+        """Schedule *callback* at absolute time *time_s* (finite, not in the past)."""
+        now = self._now
+        # One chained comparison rejects past, infinite and NaN times alike:
+        # a NaN event would run first and leave ``_now`` NaN, after which
+        # every past-time check passes silently.
+        if not now - 1.0e-18 <= time_s < _INF:
             raise SimulationError(
-                f"cannot schedule an event at {time_s!r}s, current time is {self._now!r}s"
+                f"cannot schedule an event at {time_s!r}s, current time is {now!r}s"
             )
-        heapq.heappush(self._queue, (max(time_s, self._now), next(self._sequence), callback))
+        # ``max(time_s, now)`` spelled out: keeps *time_s* on a tie, like max.
+        heapq.heappush(self._queue,
+                       (time_s if time_s >= now else now, next(self._sequence), callback))
 
     def call_after(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Schedule *callback* after *delay_s* seconds of simulated time."""

@@ -10,11 +10,12 @@ model of the gated CCO (Figure 12).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from .. import telemetry
 from .._validation import require_non_negative
-from .kernel import SimulationError, Simulator
+from .kernel import _INF, SimulationError, Simulator
 
 __all__ = ["Signal", "Edge"]
 
@@ -28,23 +29,45 @@ class Edge:
 
 
 class _Transaction:
-    """A pending scheduled value change on a signal."""
+    """A pending scheduled value change on a signal.
 
-    __slots__ = ("time_s", "value", "cancelled")
+    The transaction is its own event-queue callback: calling it applies
+    the value and notifies the subscribers inline, so :meth:`Signal.assign`
+    builds no closure and a value change costs no extra call frames.
+    """
 
-    def __init__(self, time_s: float, value) -> None:
+    __slots__ = ("signal", "time_s", "value", "cancelled")
+
+    def __init__(self, signal: "Signal", time_s: float, value) -> None:
+        self.signal = signal
         self.time_s = time_s
         self.value = value
         self.cancelled = False
+
+    def __call__(self) -> None:
+        signal = self.signal
+        signal._pending.remove(self)
+        if self.cancelled or self.value == signal._value:
+            return
+        signal._value = self.value
+        now = signal._simulator._now
+        signal.last_event_time_s = now
+        # Same dispatch as Signal._notify, inlined on the hot path.
+        subscribers = signal._subscribers
+        tracer = telemetry.ACTIVE
+        if tracer:
+            tracer.count("kernel.gate_evaluations", len(subscribers))
+        for callback in subscribers:
+            callback(signal, now)
 
 
 class Signal:
     """A simulated signal (wire) with transport-delay scheduling.
 
-    Subscribers are stored as a tuple: dispatch in :meth:`_notify` iterates
-    the immutable snapshot directly (no defensive copy per event), and
-    subscription changes replace the tuple — the hot path is ``_notify``,
-    which runs on every value change of every signal in a simulation.
+    Subscribers are stored as a tuple: dispatch iterates the immutable
+    snapshot directly (no defensive copy per event), and subscription
+    changes replace the tuple — dispatch runs on every value change of
+    every signal in a simulation.
     """
 
     __slots__ = ("_simulator", "name", "_value", "_subscribers", "_pending",
@@ -98,14 +121,19 @@ class Signal:
         Any previously scheduled transaction at the same or a later time is
         cancelled (VHDL transport semantics).
         """
-        require_non_negative("delay_s", delay_s)
-        target_time = self._simulator.now + delay_s
-        for transaction in self._pending:
-            if not transaction.cancelled and transaction.time_s >= target_time:
+        if not 0.0 <= delay_s < _INF:
+            require_non_negative("delay_s", delay_s)  # raises: negative or non-finite
+        simulator = self._simulator
+        target_time = simulator._now + delay_s
+        pending = self._pending
+        for transaction in pending:
+            if transaction.time_s >= target_time:
                 transaction.cancelled = True
-        transaction = _Transaction(target_time, value)
-        self._pending.append(transaction)
-        self._simulator.call_at(target_time, lambda: self._apply(transaction))
+        transaction = _Transaction(self, target_time, value)
+        pending.append(transaction)
+        # ``call_at`` inlined: a finite delay >= 0 puts *target_time* at or
+        # after ``now``, so its past/non-finite check cannot fire here.
+        heappush(simulator._queue, (target_time, next(simulator._sequence), transaction))
 
     def force(self, value) -> None:
         """Immediately set the signal value (used for initial conditions)."""
@@ -142,17 +170,6 @@ class Signal:
                 self._simulator.call_at(times_list[index], fire)
 
         self._simulator.call_at(times_list[0], fire)
-
-    def _apply(self, transaction: _Transaction) -> None:
-        if transaction in self._pending:
-            self._pending.remove(transaction)
-        if transaction.cancelled:
-            return
-        if transaction.value == self._value:
-            return
-        self._value = transaction.value
-        self.last_event_time_s = self._simulator.now
-        self._notify()
 
     def _notify(self) -> None:
         # The tuple is an immutable snapshot: callbacks that (un)subscribe

@@ -28,7 +28,7 @@ import numpy as np
 from .._validation import require_non_negative, require_positive
 from ..events.signal import Signal
 
-__all__ = ["CmlTiming", "CmlGate"]
+__all__ = ["CmlTiming", "CmlGate", "BlockNormals"]
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,40 @@ class CmlGate:
         self._rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
         self._delay_scale = delay_scale
         self.event_count = 0
-        for index, signal in enumerate(self.inputs):
-            signal.subscribe(self._make_listener(index))
+        self._listeners = [self._make_listener(index) for index in range(len(self.inputs))]
+        for signal, listener in zip(self.inputs, self._listeners):
+            signal.subscribe(listener)
 
     def _make_listener(self, input_index: int) -> Callable[[Signal, float], None]:
+        """Input *input_index*'s event handler, with its timing constants hoisted.
+
+        On every input event the output is re-evaluated and scheduled after
+        the per-input delay, scaled by ``delay_scale()``, plus the rise/fall
+        mismatch on falling outputs, times ``1 + N(0, sigma)`` jitter, and
+        floored at 1 fs.  The floor is written ``max(delay, 1e-15)``'s way
+        round, so a NaN delay stays NaN and ``assign`` rejects it.
+        """
+        base_delay = self.timing.delay_for_input(input_index)
+        mismatch_s = self.timing.rise_fall_mismatch_s
+        sigma = self.timing.jitter_sigma_fraction
+        normal = self._rng.normal
+        delay_scale = self._delay_scale
+        inputs = self.inputs
+        evaluate = self._evaluate
+        invert = 1 if self.invert_output else 0
+        assign = self.output.assign
+
         def on_input_event(_signal: Signal, _time_s: float) -> None:
-            self._schedule_output(input_index)
+            new_value = (int(evaluate([int(signal._value) for signal in inputs])) & 1) ^ invert
+            delay = base_delay
+            if delay_scale is not None:
+                delay = delay * float(delay_scale())
+            if new_value == 0 and mismatch_s:
+                delay = delay + mismatch_s
+            if sigma > 0.0:
+                delay = delay * (1.0 + normal(0.0, sigma))
+            assign(new_value, 1.0e-15 if delay < 1.0e-15 else delay)
+            self.event_count += 1
 
         return on_input_event
 
@@ -125,31 +153,70 @@ class CmlGate:
             result ^= 1
         return result
 
-    def propagation_delay(self, input_index: int, new_value: int) -> float:
-        """Delay used for the next output event triggered from *input_index*."""
-        delay = self.timing.delay_for_input(input_index)
-        if self._delay_scale is not None:
-            delay = delay * float(self._delay_scale())
-        if new_value == 0 and self.timing.rise_fall_mismatch_s:
-            delay = delay + self.timing.rise_fall_mismatch_s
-        if self.timing.jitter_sigma_fraction > 0.0:
-            delay = delay * (1.0 + self._rng.normal(0.0, self.timing.jitter_sigma_fraction))
-        return max(delay, 1.0e-15)
-
-    def _schedule_output(self, input_index: int) -> None:
-        new_value = self.current_output_value()
-        delay = self.propagation_delay(input_index, new_value)
-        self.output.assign(new_value, delay)
-        self.event_count += 1
-
     def evaluate_now(self) -> None:
         """Schedule an output update as if input 0 had just changed.
 
         Used to kick feedback loops (ring oscillators) at time zero, when no
         external input event exists yet.
         """
-        self._schedule_output(0)
+        self._listeners[0](self.inputs[0], self.output.simulator.now)
 
     def settle(self) -> None:
         """Force the output to its combinational value immediately (initialisation)."""
         self.output.force(self.current_output_value())
+
+
+class BlockNormals:
+    """Gate-jitter draws served from block-drawn standard normals.
+
+    Stands in for the run's Generator in the gates of one simulation:
+    ``normal(loc, scale)`` returns ``loc + scale * z`` with ``z`` taken in
+    order from ``rng.standard_normal(BLOCK)``.  That is the formula numpy's
+    scalar ``Generator.normal`` evaluates on the same stream of standard
+    normals, so every draw is bit-equal to the scalar call it replaces, at
+    a fraction of the per-call cost.  ``scale`` is not validated; the gate
+    timings already are.
+
+    Drawing ahead moves *rng* past the draws served so far.  :meth:`close`
+    (or leaving the ``with`` block) rewinds it to the state the scalar
+    calls would have left: it restores the state from before the current
+    block and redraws the part of the block that was served.
+    """
+
+    #: Standard normals drawn at a time.  A 4 000-bit run of the
+    #: paper-nominal channel (1 % jitter on every gate) serves ~52 000.
+    BLOCK = 4096
+
+    __slots__ = ("_rng", "_values", "_index", "_state")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._values: list[float] = []
+        self._index = self.BLOCK  # the (empty) block is used up: draw on first use
+        self._state = None  # rng state from before the current block
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        """One Gaussian draw, bit-equal to ``rng.normal(loc, scale)``."""
+        index = self._index
+        if index == self.BLOCK:
+            self._state = self._rng.bit_generator.state
+            self._values = self._rng.standard_normal(self.BLOCK).tolist()
+            index = 0
+        self._index = index + 1
+        return loc + scale * self._values[index]
+
+    def close(self) -> None:
+        """Leave *rng* where the scalar draws served so far would have left it."""
+        if self._state is None:
+            return
+        self._rng.bit_generator.state = self._state
+        self._rng.standard_normal(self._index)
+        self._values = []
+        self._index = self.BLOCK
+        self._state = None
+
+    def __enter__(self) -> "BlockNormals":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()

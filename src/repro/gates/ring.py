@@ -144,9 +144,10 @@ class GatedRingOscillator:
             jitter_sigma_fraction=self.parameters.jitter_sigma_fraction,
         )
 
+        self._refresh_delay_scale()
+
         def delay_scale() -> float:
-            nominal = self.parameters.stage_delay_at(self.parameters.control_current_midpoint_a)
-            return self.parameters.stage_delay_at(self._control_current_a) / nominal
+            return self._delay_scale
 
         # Stage 0: AND of the ring feedback with the gating signal (EDET).
         self.first_stage = And2Gate(
@@ -206,6 +207,12 @@ class GatedRingOscillator:
         # Validate by computing the implied frequency (raises if non-positive).
         self.parameters.frequency_at(control_current_a)
         self._control_current_a = float(control_current_a)
+        self._refresh_delay_scale()
+
+    def _refresh_delay_scale(self) -> None:
+        """Cache the stage-delay factor of the present control current."""
+        nominal = self.parameters.stage_delay_at(self.parameters.control_current_midpoint_a)
+        self._delay_scale = self.parameters.stage_delay_at(self._control_current_a) / nominal
 
     @property
     def oscillation_frequency_hz(self) -> float:

@@ -33,6 +33,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             simulator.call_at(0.5e-9, lambda: None)
 
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time_s):
+        simulator = Simulator()
+        with pytest.raises(SimulationError):
+            simulator.call_at(time_s, lambda: None)
+        assert simulator.pending_events() == 0
+
+    def test_nan_time_rejected_after_time_advanced(self):
+        # Past-time checks compare against ``now``; a NaN event would make
+        # ``now`` NaN and silently disable them.
+        simulator = Simulator()
+        simulator.call_after(1.0e-9, lambda: None)
+        simulator.run()
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.call_at(float("nan"), lambda: None)
+        assert simulator.now == 1.0e-9
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().call_after(-1.0e-9, lambda: None)

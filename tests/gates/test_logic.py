@@ -139,6 +139,23 @@ class TestPropagation:
         simulator.run()
         assert simulator.now == pytest.approx(2.0 * DELAY)
 
+    def test_nan_gate_delay_raises_naming_delay_s(self):
+        # The 1 fs floor must not clamp a NaN delay into a valid one: the
+        # floor keeps NaN, and the output assignment rejects it by name.
+        simulator, (data,), output = setup(1)
+        BufferGate("buf", data, output, CmlTiming(DELAY),
+                   delay_scale=lambda: float("nan"))
+        with pytest.raises(ValueError, match="delay_s"):
+            data.force(1)
+
+    def test_sub_femtosecond_delay_is_floored(self):
+        simulator, (data,), output = setup(1)
+        BufferGate("buf", data, output, CmlTiming(DELAY), delay_scale=lambda: 0.0)
+        data.force(1)
+        simulator.run()
+        assert simulator.now == 1.0e-15
+        assert output.value == 1
+
     def test_event_counter(self):
         simulator, (data,), output = setup(1)
         gate = BufferGate("buf", data, output, CmlTiming(DELAY))
