@@ -369,7 +369,8 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
     the scalar middle tier otherwise).  The two runs must agree **byte for
     byte** — the golden bit-identity pin — and the dispatched path must
     clear a 10x floor (``EXTRA_FLOORS``).  The isolated DFE-adaptation
-    kernel speedup is reported alongside.
+    kernel speedup (ratio of the medians of 20 adapt calls per repeat,
+    each leg repeated like the runs) is reported alongside.
     """
     link = LinkConfig(
         channel=LossyLineChannel.for_loss_at_nyquist(12.0),
@@ -404,10 +405,10 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
     levels = nrz_symbol_levels(prbs_sequence(7, 127))
     samples = levels + np.random.default_rng(1234).normal(0.0, 0.18, levels.size)
     repetitions = range(20)
-    _, adapt_reference_s = _timed(lambda: [
+    _, adapt_reference_spread = _repeated(lambda: [
         link.dfe.adapt(samples, levels, kernel="reference")
         for _ in repetitions])
-    _, adapt_dispatched_s = _timed(lambda: [
+    _, adapt_dispatched_spread = _repeated(lambda: [
         link.dfe.adapt(samples, levels, kernel="auto") for _ in repetitions])
 
     return {
@@ -420,9 +421,10 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
         "speedup": round(reference_spread["median"] / dispatched_spread["median"], 2),
         "bit_identical": True,
         "total_errors": int(fast.ber().errors),
-        "dfe_adapt_reference_s": round(adapt_reference_s, 4),
-        "dfe_adapt_dispatched_s": round(adapt_dispatched_s, 4),
-        "dfe_adapt_speedup": round(adapt_reference_s / adapt_dispatched_s, 2),
+        **_spread_fields("dfe_adapt_reference_s", adapt_reference_spread),
+        **_spread_fields("dfe_adapt_dispatched_s", adapt_dispatched_spread),
+        "dfe_adapt_speedup": round(
+            adapt_reference_spread["median"] / adapt_dispatched_spread["median"], 2),
     }
 
 

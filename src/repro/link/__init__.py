@@ -32,7 +32,14 @@ from .channel import (
     LossyLineChannel,
     SinglePoleChannel,
 )
-from .equalization import DfeAdaptation, ErrorPropagation, LmsDfe, RxCtle, TxFfe
+from .equalization import (
+    DfeAdaptation,
+    DfeDivergenceError,
+    ErrorPropagation,
+    LmsDfe,
+    RxCtle,
+    TxFfe,
+)
 from .isi import (
     nrz_symbol_levels,
     superpose_circular,
@@ -75,6 +82,7 @@ __all__ = [
     "RxCtle",
     "LmsDfe",
     "DfeAdaptation",
+    "DfeDivergenceError",
     "ErrorPropagation",
     "nrz_symbol_levels",
     "upsample_symbols",

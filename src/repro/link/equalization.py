@@ -41,12 +41,21 @@ import numpy as np
 from .. import _kernels
 from .._validation import require_non_negative, require_positive, require_positive_int
 
-__all__ = ["TxFfe", "RxCtle", "LmsDfe", "DfeAdaptation", "ErrorPropagation"]
+__all__ = ["TxFfe", "RxCtle", "LmsDfe", "DfeAdaptation", "DfeDivergenceError", "ErrorPropagation"]
 
 #: Corrected-sample deviations below this are floating-point residue of the
 #: feedback arithmetic, not propagated error — snapped to exact zero so
 #: :attr:`ErrorPropagation.decays` can test for a fully cleared register.
 _DEVIATION_SNAP = 1.0e-9
+
+
+class DfeDivergenceError(ValueError):
+    """LMS adaptation left non-finite tap weights or a non-finite error RMS.
+
+    A step size past the recursion's stability bound drives the taps to
+    infinity and then NaN; raising here keeps them out of every waveform
+    and statistical eye built from the adaptation.
+    """
 
 
 def _circular_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -304,6 +313,9 @@ class LmsDfe:
             Kernel tier for the recursion (``"auto"``, ``"jit"``,
             ``"python"`` or ``"reference"``); every tier returns
             bit-identical results.
+
+        Raises :class:`DfeDivergenceError` when the adapted weights or the
+        per-epoch error RMS are not finite.
         """
         samples = np.asarray(ui_samples, dtype=float).ravel()
         levels = np.asarray(symbols, dtype=float).ravel()
@@ -313,21 +325,32 @@ class LmsDfe:
             raise ValueError("need more than n_taps training symbols")
         if self.decision_directed:
             if kernel == _kernels.TIER_REFERENCE:
-                return self._adapt_decision_directed(samples, levels)
-            weights, error_rms, decision_errors = _kernels.dfe_adapt_decision_directed(
+                adaptation = self._adapt_decision_directed(samples, levels)
+            else:
+                weights, error_rms, decision_errors = _kernels.dfe_adapt_decision_directed(
+                    samples, levels, self.n_taps, self.step_size, self.n_epochs, tier=kernel
+                )
+                adaptation = DfeAdaptation(
+                    weights=weights,
+                    error_rms_per_epoch=error_rms,
+                    decision_error_rate_per_epoch=decision_errors,
+                )
+        elif kernel == _kernels.TIER_REFERENCE:
+            adaptation = self._adapt_reference(samples, levels)
+        else:
+            weights, error_rms = _kernels.dfe_adapt(
                 samples, levels, self.n_taps, self.step_size, self.n_epochs, tier=kernel
             )
-            return DfeAdaptation(
-                weights=weights,
-                error_rms_per_epoch=error_rms,
-                decision_error_rate_per_epoch=decision_errors,
+            adaptation = DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
+        if not (
+            np.all(np.isfinite(adaptation.weights))
+            and np.all(np.isfinite(adaptation.error_rms_per_epoch))
+        ):
+            raise DfeDivergenceError(
+                f"LMS adaptation diverged (step_size={self.step_size!r}, "
+                f"n_taps={self.n_taps}): weights {adaptation.weights.tolist()!r}"
             )
-        if kernel == _kernels.TIER_REFERENCE:
-            return self._adapt_reference(samples, levels)
-        weights, error_rms = _kernels.dfe_adapt(
-            samples, levels, self.n_taps, self.step_size, self.n_epochs, tier=kernel
-        )
-        return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
+        return adaptation
 
     def _adapt_reference(self, samples: np.ndarray, levels: np.ndarray) -> DfeAdaptation:
         """Pinned pure-python data-aided recursion — the semantic reference.

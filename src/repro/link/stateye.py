@@ -107,6 +107,13 @@ def _convolve_cursor_pairs(pmfs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     would skip, adds exactly 0.0 to non-negative mass), so the result does
     not depend on how many rows are batched; a row whose shift is exactly
     0 passes through unchanged.
+
+    Only the live support is updated: the column band that can hold mass
+    starts at the input's nonzero extent and widens, per step, by that
+    step's largest far shift (clipped to the grid).  Every cell outside it
+    would be computed from zeros into an exact 0.0, which both buffers
+    already hold there.  *shifts* must be finite — the solver rejects
+    non-finite cursors before it gets here.
     """
     rows, bins = pmfs.shape
     whole = np.floor(shifts)
@@ -122,23 +129,31 @@ def _convolve_cursor_pairs(pmfs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     still = shifts == 0.0
     any_moving = (~still).any(axis=1).tolist()
     any_still = still.any(axis=1).tolist()
+    reach = far.max(axis=1, initial=0).tolist()
 
     buffers = np.zeros((2, rows, bins + 2 * pad))
     interiors = buffers[:, :, pad : pad + bins]
     windows = [sliding_window_view(buffer, bins, axis=1) for buffer in buffers]
     interiors[0] = pmfs
+    # Bytes, not values: a -0.0 cell propagates as it would over the full grid.
+    occupied = np.flatnonzero(interiors[0].view(np.uint64).any(axis=0))
+    low, high = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
     index = np.arange(rows)
     current = 0
     for step in range(shifts.shape[0]):
         if not any_moving[step]:
             continue
+        low, high = max(low - reach[step], 0), min(high + reach[step], bins)
+        band = slice(low, high)
         source = windows[current]
-        result = interiors[1 - current]
+        result = interiors[1 - current][:, band]
         up, down, far_up, far_down = starts[step]
-        np.multiply(near_mass[step], source[index, up] + source[index, down], out=result)
-        result += far_mass[step] * (source[index, far_up] + source[index, far_down])
+        np.multiply(
+            near_mass[step], source[index, up, band] + source[index, down, band], out=result
+        )
+        result += far_mass[step] * (source[index, far_up, band] + source[index, far_down, band])
         if any_still[step]:
-            np.copyto(result, interiors[current], where=still[step][:, None])
+            np.copyto(result, interiors[current][:, band], where=still[step][:, None])
         current = 1 - current
     return interiors[current].copy()
 

@@ -75,6 +75,10 @@ NOMINAL_SAMPLING_PHASE_UI = 0.5
 #: Improved sampling phase: the inverted third-stage tap is T/8 earlier (paper §3.3b).
 IMPROVED_SAMPLING_PHASE_UI = 0.375
 
+#: ``q_function`` is exactly 0.0 from here up: ``erfc`` underflows to zero
+#: once ``(z / sqrt 2)**2`` exceeds ~709.78, i.e. for z above ~37.68.
+_Q_ZERO_BEYOND = 38.0
+
 
 @dataclass(frozen=True)
 class CdrJitterBudget:
@@ -224,15 +228,18 @@ class GatedOscillatorBerModel:
         self.run_lengths = run_lengths or geometric_run_distribution(max_run=5)
         self.grid_step_ui = require_positive("grid_step_ui", grid_step_ui)
         self.static_phase_error_ui = float(static_phase_error_ui)
-        #: Lazily built ``{run length: boundary Pdf}`` cache.  The edge-pair
-        #: PDFs depend only on the jitter budget and the run length — never on
-        #: the sampling phase — so phase scans (bathtubs, eye margins, the
-        #: statistical eye solver) reuse them instead of re-convolving per probe.
-        self._boundary_pdf_cache: dict[int, Pdf] = {}
+        #: Lazily built ``{relative SJ pp: boundary Pdf}`` cache.  With the
+        #: budget and grid step fixed per model, an edge-pair PDF depends only
+        #: on the differential SJ amplitude over the run — never on the
+        #: sampling phase — so phase scans (bathtubs, eye margins, the
+        #: statistical eye solver) reuse them instead of re-convolving per
+        #: probe, and run lengths with equal relative SJ (all of them at
+        #: SJ = 0) share one PDF.
+        self._boundary_pdf_cache: dict[float, Pdf] = {}
 
     # -- internal building blocks ------------------------------------------
 
-    def _edge_pair_pdf(self, gap_ui: float) -> Pdf:
+    def _edge_pair_pdf(self, relative_sj_ui_pp: float) -> Pdf:
         """Distribution of the end-of-run edge displacement relative to the trigger.
 
         Deterministic jitter is pattern-correlated (inter-symbol interference /
@@ -240,7 +247,8 @@ class GatedOscillatorBerModel:
         its uniform PDF bounds the *relative* displacement between the two
         edges and enters once.  Random jitter is independent per edge and
         enters with sqrt(2) times its per-edge sigma; sinusoidal jitter enters
-        through its differential amplitude over the *gap_ui* separation.
+        through its differential amplitude *relative_sj_ui_pp* over the run
+        (:meth:`CdrJitterBudget.relative_sj_pp_over_gap`).
         """
         budget = self.budget
         step = self.grid_step_ui
@@ -251,17 +259,17 @@ class GatedOscillatorBerModel:
         if budget.rj_ui_rms > 0.0:
             rj_diff = gaussian_pdf(budget.rj_ui_rms * math.sqrt(2.0), step)
             pdf = pdf.convolve(rj_diff)
-        relative_sj = budget.relative_sj_pp_over_gap(gap_ui)
-        if relative_sj > 0.0:
-            pdf = pdf.convolve(sinusoidal_pdf(relative_sj, step))
+        if relative_sj_ui_pp > 0.0:
+            pdf = pdf.convolve(sinusoidal_pdf(relative_sj_ui_pp, step))
         return pdf
 
     def _boundary_pdf(self, run_length: int) -> Pdf:
         """Cached end-of-run boundary PDF for runs of *run_length* bits."""
-        pdf = self._boundary_pdf_cache.get(run_length)
+        relative_sj = self.budget.relative_sj_pp_over_gap(float(run_length))
+        pdf = self._boundary_pdf_cache.get(relative_sj)
         if pdf is None:
-            pdf = self._edge_pair_pdf(float(run_length))
-            self._boundary_pdf_cache[run_length] = pdf
+            pdf = self._edge_pair_pdf(relative_sj)
+            self._boundary_pdf_cache[relative_sj] = pdf
         return pdf
 
     def _sampling_means_ui(
@@ -292,7 +300,12 @@ class GatedOscillatorBerModel:
         grid = boundary_pdf.grid
         density = boundary_pdf.density
         if self.budget.osc_sigma_ui_per_bit > 0.0:
-            tails = q_function((margins[..., None] + grid) / sigmas[:, None])
+            z = (margins[..., None] + grid) / sigmas[:, None]
+            # Most of the broadcast lies in tails Q rounds to exactly 0.0;
+            # evaluate only the rest (``~(z >= cutoff)`` keeps NaN live).
+            live = ~(z >= _Q_ZERO_BEYOND)
+            tails = np.zeros_like(z)
+            tails[live] = q_function(z[live])
         else:
             tails = (grid < -margins[..., None]).astype(float)
         probabilities = np.sum(density * tails, axis=-1) * boundary_pdf.step
@@ -352,7 +365,7 @@ class GatedOscillatorBerModel:
 
         The boundary PDFs and run-length statistics are phase-independent;
         only the sampling means shift with the phase.  All phases therefore
-        share the cached per-run-length PDFs and collapse to one
+        share the cached boundary PDFs and collapse to one
         ``(n_phases, positions, grid)`` broadcast per run length — a phase
         scan costs barely more than a single-point evaluation, instead of
         rebuilding the full model per probe.

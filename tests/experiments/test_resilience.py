@@ -5,6 +5,7 @@ import pytest
 
 from repro.datapath.nrz import JitterSpec
 from repro.experiments import (
+    EqualizerLineup,
     MeasurementPlan,
     ParameterAxis,
     ScenarioSpec,
@@ -14,6 +15,7 @@ from repro.experiments import (
     run_grid,
     run_tolerance_search,
 )
+from repro.link import LinkConfig, LmsDfe, LossyLineChannel
 from repro.sweep.faults import FaultyStimulus, InjectedFault  # registers the axis
 from repro.sweep.resilient import CheckpointMismatchError, SweepTaskError
 
@@ -68,6 +70,28 @@ class TestFailureCollection:
         assert points[1].stimulus.fail and not points[0].stimulus.fail
         with pytest.raises(InjectedFault):
             points[1].stimulus.bits()
+
+
+class TestDivergingDfe:
+    def test_diverging_dfe_is_a_recorded_point_failure(self):
+        # The LMS step size 5.0 drives the taps to NaN on this channel; the
+        # adaptation raises a named error, which the runner records.
+        spec = ScenarioSpec(
+            stimulus=StimulusSpec(n_bits=600),
+            link=LinkConfig(channel=LossyLineChannel.for_loss_at_nyquist(10.0)),
+            backend="fast",
+        )
+        lineups = ParameterAxis("equalization", (
+            EqualizerLineup("stable", dfe=LmsDfe(n_taps=3, step_size=0.02, n_epochs=50)),
+            EqualizerLineup("diverging", dfe=LmsDfe(n_taps=3, step_size=5.0, n_epochs=50)),
+        ))
+        result = run_grid(spec, [lineups], seed=0, workers=1, failure_policy="collect")
+        assert [failure.index for failure in result.failures] == [1]
+        failure = result.failures[0]
+        assert failure.exception_type == "DfeDivergenceError"
+        assert "diverged" in failure.message
+        assert result.metric("compared")[0] > 0
+        assert result.metric("compared")[1] == 0
 
 
 class TestFailureSerialization:

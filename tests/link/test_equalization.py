@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.link import LinkTimebase, LmsDfe, RxCtle, TxFfe
+from repro.link import DfeDivergenceError, LinkTimebase, LmsDfe, RxCtle, TxFfe
 from repro.link.isi import nrz_symbol_levels
 
 
@@ -177,6 +177,30 @@ class TestDecisionDirectedDfe:
         adaptation = LmsDfe(n_taps=1).adapt(symbols.astype(float), symbols)
         assert adaptation.decision_error_rate_per_epoch is None
         assert np.isnan(adaptation.final_decision_error_rate)
+
+
+class TestDivergenceGuard:
+    """A step size past the LMS stability bound raises instead of returning NaN taps."""
+
+    @pytest.mark.parametrize("decision_directed", [False, True])
+    @pytest.mark.parametrize("kernel", ["auto", "python", "reference"])
+    def test_diverging_step_size_raises_on_every_tier(self, kernel, decision_directed):
+        rng = np.random.default_rng(3)
+        symbols = nrz_symbol_levels(rng.integers(0, 2, 127))
+        samples = symbols + 0.3 * np.roll(symbols, 1)
+        dfe = LmsDfe(n_taps=3, step_size=5.0, n_epochs=50,
+                     decision_directed=decision_directed)
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference tier's numpy scalars
+            with pytest.raises(DfeDivergenceError, match="diverged") as caught:
+                dfe.adapt(samples, symbols, kernel=kernel)
+        assert isinstance(caught.value, ValueError)
+
+    def test_stable_step_size_is_untouched(self):
+        rng = np.random.default_rng(3)
+        symbols = nrz_symbol_levels(rng.integers(0, 2, 127))
+        samples = symbols + 0.3 * np.roll(symbols, 1)
+        adaptation = LmsDfe(n_taps=3, step_size=0.02, n_epochs=50).adapt(samples, symbols)
+        assert np.all(np.isfinite(adaptation.weights))
 
 
 class TestErrorPropagation:

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.link import (
     CrosstalkSpec,
+    DfeDivergenceError,
     LinkConfig,
     LmsDfe,
     LossyLineChannel,
@@ -201,6 +202,34 @@ def _kernel_inputs(draw):
     return pmfs, shifts
 
 
+@st.composite
+def _sparse_row(draw, bins: int):
+    """An all-zero row, an impulse (often at a grid edge) or a narrow band."""
+    row = np.zeros(bins)
+    kind = draw(st.sampled_from(["zero", "impulse", "band"]))
+    if kind == "impulse":
+        cell = draw(st.one_of(st.sampled_from([0, bins - 1]), st.integers(0, bins - 1)))
+        row[cell] = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    elif kind == "band":
+        start = draw(st.integers(0, bins - 1))
+        width = draw(st.integers(1, min(3, bins - start)))
+        row[start : start + width] = draw(
+            hnp.arrays(np.float64, width, elements=st.floats(min_value=0.0, max_value=1.0))
+        )
+    return row
+
+
+@st.composite
+def _sparse_kernel_inputs(draw):
+    """Mass confined to a few cells, so the live band grows from narrow to full."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    bins = draw(st.integers(min_value=1, max_value=40))
+    cursors = draw(st.integers(min_value=0, max_value=12))
+    pmfs = np.stack([draw(_sparse_row(bins)) for _ in range(rows)])
+    shifts = draw(hnp.arrays(np.float64, (cursors, rows), elements=_shift_values(bins)))
+    return pmfs, shifts
+
+
 class TestBatchedKernel:
     @given(_kernel_inputs())
     @settings(max_examples=300, deadline=None)
@@ -209,6 +238,26 @@ class TestBatchedKernel:
         batched = stateye._convolve_cursor_pairs(pmfs, shifts)
         for row, expected in enumerate(_reference_rows(pmfs, shifts)):
             assert _same_bytes(batched[row], expected)
+
+    @given(_sparse_kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_inputs_match_the_scalar_oracle_byte_for_byte(self, inputs):
+        pmfs, shifts = inputs
+        batched = stateye._convolve_cursor_pairs(pmfs, shifts)
+        for row, expected in enumerate(_reference_rows(pmfs, shifts)):
+            assert _same_bytes(batched[row], expected)
+
+    def test_band_grows_from_an_edge_impulse_to_the_full_grid(self):
+        # 1.5-cell shifts reach two cells, so the band widens by two per
+        # step from the left edge until it covers the grid; mass then
+        # leaves across the right edge.
+        pmfs = np.zeros((2, 7))
+        pmfs[0, 0] = 1.0
+        shifts = np.array([[1.5, 0.0]] * 5 + [[0.5, 2.0]] * 3)
+        batched = stateye._convolve_cursor_pairs(pmfs, shifts)
+        for row, expected in enumerate(_reference_rows(pmfs, shifts)):
+            assert _same_bytes(batched[row], expected)
+        assert not batched[1].any()
 
     def test_input_is_left_untouched(self):
         pmfs = np.zeros((3, 9))
@@ -294,8 +343,9 @@ class TestStatisticalEyeError:
             dfe=LmsDfe(n_taps=3, step_size=5.0, n_epochs=50),
         )
         solver = StatisticalEyeSolver(link)
-        assert not np.all(np.isfinite(solver.cursor_matrix()))
-        with pytest.raises(StatisticalEyeError, match="non-finite") as caught:
+        with pytest.raises(DfeDivergenceError, match="diverged"):
+            solver.cursor_matrix()
+        with pytest.raises(DfeDivergenceError, match="diverged") as caught:
             solver.solve()
         assert isinstance(caught.value, ValueError)  # callers catching ValueError still do
 
